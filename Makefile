@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: check build vet test race audit bench-json bench-pr5 bench-pr10 bench-smoke bench-compare fuzz-smoke daemon-smoke shard-smoke trace-smoke ci stress
+.PHONY: check build vet test race audit bench-json bench-pr5 bench-pr10 bench-smoke bench-compare bench-ab fuzz-smoke daemon-smoke shard-smoke trace-smoke ci stress
 
 # check is the CI gate: static analysis plus the full suite under the race
 # detector (the parallel sweep runner is on by default).
@@ -66,6 +66,16 @@ OLD ?= BENCH_pr5.json
 NEW ?= BENCH_pr10.json
 bench-compare:
 	$(GO) run ./cmd/lbpbench -compare -old $(OLD) -new $(NEW)
+
+# bench-ab is the same-host A/B of the benchmark in BENCHMARK.json: it
+# builds the simulator at BASE and at the working tree and runs ten
+# alternating-order pairs of every workload, then prints per-metric medians,
+# quartiles, the share of pairs won and a verdict against the bounds. Ten
+# pairs of four workloads take about 50 minutes, so it is not part of ci.
+#   make bench-ab BASE=HEAD~1
+bench-ab:
+	@test -n "$(BASE)" || { echo "bench-ab: set BASE=<rev>, e.g. BASE=HEAD~1"; exit 2; }
+	cd perfbench && $(GO) run ./ab -base $(BASE) -pairs 10
 
 # fuzz-smoke gives each native fuzz target a short budget; failures minimize
 # into testdata/fuzz corpora as usual.

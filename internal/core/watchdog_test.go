@@ -108,8 +108,11 @@ func TestConfigValidate(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.Width = -1
 	cfg.StallCycles = -5
+	cfg.Mem.L2.Ways = 0
 	err = cfg.Validate()
-	if err == nil || !strings.Contains(err.Error(), "Width") || !strings.Contains(err.Error(), "StallCycles") {
-		t.Fatalf("expected joined Width and StallCycles errors, got: %v", err)
+	for _, field := range []string{"Width", "StallCycles", "mem.HierarchyConfig.L2.Ways"} {
+		if err == nil || !strings.Contains(err.Error(), field) {
+			t.Fatalf("expected joined Width, StallCycles and L2.Ways errors, got: %v", err)
+		}
 	}
 }

@@ -10,6 +10,7 @@
 package mem
 
 import (
+	"errors"
 	"sync"
 
 	"localbp/internal/obs"
@@ -114,9 +115,9 @@ func (h *Hierarchy) Recycle() {
 }
 
 // reset restores the just-built state without touching the dominant tag
-// arrays: way validity lives in the stamps (stamp == 0 means empty) and hint
-// validity in the hint keys (0 means untrained), so clearing those two — a
-// third of the metadata — makes the stale tags and hint ways unreachable.
+// arrays: way validity lives in the stamps (stamp == 0 means empty), so
+// clearing them — a third of the metadata — makes the stale tags
+// unreachable.
 func (h *Hierarchy) reset() {
 	h.l1.reset()
 	h.l2.reset()
@@ -224,9 +225,8 @@ func (h *Hierarchy) MPKIBase() float64 {
 	return float64(h.statL1Miss) / float64(h.statAccesses)
 }
 
-// The per-way state is split into parallel arrays (tags / stamp / pref)
-// rather than an array of structs: probes and fills scan only the tag array
-// — one cache line covers 8 ways instead of two.
+// The per-way state is split into parallel arrays (tags / stamp); a probe
+// or fill scans one set through subslices of both.
 //
 // LRU is kept as a per-way last-touch timestamp drawn from a per-cache
 // clock instead of a per-set rank permutation: a touch is one store rather
@@ -271,24 +271,6 @@ type cache struct {
 	// streamDetect skip provably redundant re-prefetches.
 	inserts uint64
 
-	// Way hint: a direct-mapped line → way memo that turns the common
-	// "line is present" probe into a single array load instead of an
-	// associative scan over the (much larger) tag array. The hint is exact:
-	// a matching key GUARANTEES the line is resident at hintWay[h]. The
-	// invariant is maintained at the only point it could break — eviction:
-	// when an insert displaces a valid line, the victim's own hint entry (if
-	// it still points at that way) is cleared. Entries overwritten by
-	// direct-mapped collisions simply stop matching. Probe results, LRU
-	// updates and victim selection are bit-identical to the hint-free cache;
-	// only the order of array reads changes.
-	//
-	// hintKey stores line+1 so the zero value means "untrained" (no real
-	// line is all-ones: a line is addr >> lineBits); hintWay may then hold
-	// anything until its key is set.
-	hintKey  []uint64
-	hintWay  []uint8
-	hintMask uint64
-
 	// streamDetect memo (used on the L1 only): the last line whose stream
 	// prefetches were issued and the hierarchy-wide insert count right
 	// after. While both match, the same prefetches would all no-op.
@@ -297,18 +279,14 @@ type cache struct {
 }
 
 func newCache(cfg Config) *cache {
+	if errs := cfg.validate("mem.Config"); errs != nil {
+		panic(errors.Join(errs...))
+	}
 	lines := cfg.SizeBytes / cfg.LineBytes
 	sets := lines / cfg.Ways
-	if sets&(sets-1) != 0 {
-		panic("mem: cache set count must be a power of two")
-	}
 	lb := uint(0)
 	for 1<<lb < cfg.LineBytes {
 		lb++
-	}
-	hintSize := lines
-	if hintSize > 8192 {
-		hintSize = 8192 // cap the LLC hint; collisions only cost a scan
 	}
 	c := &cache{
 		cfg:      cfg,
@@ -318,9 +296,6 @@ func newCache(cfg Config) *cache {
 		tagShift: log2i(sets),
 		tags:     make([]uint64, lines),
 		stamp:    make([]uint32, lines),
-		hintKey:  make([]uint64, hintSize),
-		hintWay:  make([]uint8, hintSize),
-		hintMask: uint64(hintSize - 1),
 		// No real line number reaches 1<<63 (lines are addr>>lineBits), so
 		// the memo can never match before its first genuine assignment.
 		lastStreamLine: uint64(1) << 63,
@@ -338,7 +313,7 @@ const renormAt = uint32(1) << 30
 // observably a no-op; it runs once per ~2^30 touches.
 func (c *cache) renorm() {
 	ways := c.cfg.Ways
-	var ord [64]int
+	var ord [maxWays]int
 	for s := 0; s < c.sets; s++ {
 		base := s * ways
 		n := 0
@@ -368,9 +343,6 @@ func (c *cache) reset() {
 	for i := range c.stamp {
 		c.stamp[i] = 0
 	}
-	for i := range c.hintKey {
-		c.hintKey[i] = 0
-	}
 	c.clock = 0
 	c.lastMiss = 0
 	c.lastStride = 0
@@ -390,25 +362,23 @@ func log2i(n int) uint {
 	return k
 }
 
+// set returns addr's tag and its set's base index, tags and stamps.
+func (c *cache) set(addr uint64) (tag uint64, base int, tags []uint64, stamp []uint32) {
+	line := addr >> c.lineBits
+	ways := c.cfg.Ways
+	base = int(line&c.setMask) * ways
+	return line >> c.tagShift, base, c.tags[base : base+ways], c.stamp[base : base+ways]
+}
+
 // access probes the cache, updating LRU on hit. The second result reports
 // whether the hit line was an untouched prefetch.
 func (c *cache) access(addr uint64) (hit, wasPref bool) {
-	line := addr >> c.lineBits
-	base := int(line&c.setMask) * c.cfg.Ways
-	tag := line >> c.tagShift
-	if h := line & c.hintMask; c.hintKey[h] == line+1 {
-		w := int(c.hintWay[h])
-		wasPref = c.stamp[base+w]&1 != 0
-		c.touch(base, w) // rewrites the stamp word, clearing the pref bit
-		return true, wasPref
-	}
-	for w := 0; w < c.cfg.Ways; w++ {
-		if c.tags[base+w] == tag && c.stamp[base+w] != 0 {
-			h := line & c.hintMask
-			c.hintKey[h] = line + 1
-			c.hintWay[h] = uint8(w)
-			wasPref = c.stamp[base+w]&1 != 0
-			c.touch(base, w)
+	tag, base, tags, stamp := c.set(addr)
+	stamp = stamp[:len(tags)] // equal lengths: drops the per-way bounds check
+	for w, t := range tags {
+		if t == tag && stamp[w] != 0 {
+			wasPref = stamp[w]&1 != 0
+			c.touch(base, w) // rewrites the stamp word, clearing the pref bit
 			return true, wasPref
 		}
 	}
@@ -429,40 +399,26 @@ func (c *cache) fill(addr uint64) { c.fillInto(addr, false) }
 // fillPref inserts addr's line on behalf of a prefetcher.
 func (c *cache) fillPref(addr uint64) { c.fillInto(addr, true) }
 
+// fillInto inserts addr's line unless it is present. The victim is the way
+// with the smallest key stamp<<8 | way, a minimum the compiler lowers to a
+// conditional move, so the scan has no data-dependent branch. This is
+// exactly LRU with first-empty-way preference: empty ways (stamp 0) form a
+// suffix of the set, since ways fill in order and nothing empties one, so
+// the first empty way has the smallest key; in a full set the clock parts
+// are unique, so the smallest key is the least recently touched way.
 func (c *cache) fillInto(addr uint64, pref bool) {
-	line := addr >> c.lineBits
-	base := int(line&c.setMask) * c.cfg.Ways
-	tag := line >> c.tagShift
-	if c.hintKey[line&c.hintMask] == line+1 {
-		// Line already present (the dominant case for prefetch-driven fills
-		// behind a stream): same early return the scan below would take, with
-		// no state touched.
-		return
-	}
-	victim := 0
-	for w := 0; w < c.cfg.Ways; w++ {
-		st := c.stamp[base+w]
-		if st == 0 {
-			victim = w // empty way: first one wins, stop scanning
-			break
-		}
-		if c.tags[base+w] == tag {
+	tag, base, tags, stamp := c.set(addr)
+	stamp = stamp[:len(tags)] // equal lengths: drops the per-way bounds check
+	best := ^uint64(0)
+	for w, t := range tags {
+		st := stamp[w]
+		if t == tag && st != 0 {
 			return
 		}
-		if st < c.stamp[base+victim] {
-			victim = w
-		}
+		best = min(best, uint64(st)<<8|uint64(w))
 	}
-	if c.stamp[base+victim] != 0 {
-		// Evicting a valid line: retire its hint entry so the hint stays an
-		// exact presence memo (a collision may already have replaced it; the
-		// key+way check only clears the victim's own entry).
-		oldLine := c.tags[base+victim]<<c.tagShift | line&c.setMask
-		if oh := oldLine & c.hintMask; c.hintKey[oh] == oldLine+1 && int(c.hintWay[oh]) == victim {
-			c.hintKey[oh] = 0
-		}
-	}
-	c.tags[base+victim] = tag
+	victim := base + int(best&0xff)
+	c.tags[victim] = tag
 	c.inserts++
 	// Promote the fresh line to MRU, carrying the pref bit in the low bit.
 	if c.clock >= renormAt {
@@ -473,10 +429,7 @@ func (c *cache) fillInto(addr uint64, pref bool) {
 	if pref {
 		st |= 1
 	}
-	c.stamp[base+victim] = st
-	h := line & c.hintMask
-	c.hintKey[h] = line + 1
-	c.hintWay[h] = uint8(victim)
+	c.stamp[victim] = st
 }
 
 // prefetch issues stride-directed prefetches after a miss at this level.

@@ -1,6 +1,7 @@
 package mem
 
 import (
+	"strings"
 	"testing"
 	"testing/quick"
 )
@@ -145,4 +146,45 @@ func TestBadGeometryPanics(t *testing.T) {
 		}
 	}()
 	newCache(Config{SizeBytes: 3 * 64 * 8, LineBytes: 64, Ways: 8, Latency: 1})
+}
+
+func TestHierarchyConfigValidate(t *testing.T) {
+	if err := DefaultHierarchy().Validate(); err != nil {
+		t.Fatalf("DefaultHierarchy invalid: %v", err)
+	}
+	cases := []struct {
+		name   string
+		mutate func(*HierarchyConfig)
+		field  string
+	}{
+		{"zero ways", func(h *HierarchyConfig) { h.L1.Ways = 0 }, "mem.HierarchyConfig.L1.Ways: got 0"},
+		{"too many ways", func(h *HierarchyConfig) { h.LLC.Ways = 128 }, "mem.HierarchyConfig.LLC.Ways: got 128"},
+		{"zero line", func(h *HierarchyConfig) { h.L2.LineBytes = 0 }, "mem.HierarchyConfig.L2.LineBytes: got 0"},
+		{"odd line", func(h *HierarchyConfig) { h.L1.LineBytes = 48 }, "mem.HierarchyConfig.L1.LineBytes: got 48"},
+		{"three sets", func(h *HierarchyConfig) { h.L1.SizeBytes = 3 * 64 * 8 }, "mem.HierarchyConfig.L1.SizeBytes: got 1536"},
+		{"partial set", func(h *HierarchyConfig) { h.L2.SizeBytes += 64 }, "mem.HierarchyConfig.L2.SizeBytes"},
+		{"zero size", func(h *HierarchyConfig) { h.LLC.SizeBytes = 0 }, "mem.HierarchyConfig.LLC.SizeBytes: got 0"},
+		{"negative latency", func(h *HierarchyConfig) { h.L2.Latency = -1 }, "mem.HierarchyConfig.L2.Latency: got -1"},
+		{"negative dram", func(h *HierarchyConfig) { h.DRAMLatency = -5 }, "mem.HierarchyConfig.DRAMLatency: got -5"},
+	}
+	for _, tc := range cases {
+		cfg := DefaultHierarchy()
+		tc.mutate(&cfg)
+		err := cfg.Validate()
+		if err == nil {
+			t.Errorf("%s: validated", tc.name)
+			continue
+		}
+		if !strings.Contains(err.Error(), tc.field) {
+			t.Errorf("%s: error does not name %s: %v", tc.name, tc.field, err)
+		}
+	}
+
+	var zero HierarchyConfig
+	err := zero.Validate()
+	for _, field := range []string{"L1.LineBytes", "L1.Ways", "L2.Ways", "LLC.Ways"} {
+		if err == nil || !strings.Contains(err.Error(), field) {
+			t.Errorf("zero config error does not name %s: %v", field, err)
+		}
+	}
 }
