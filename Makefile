@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: check build vet test race audit bench-json bench-pr5 bench-pr10 bench-smoke bench-compare bench-ab fuzz-smoke daemon-smoke shard-smoke trace-smoke ci stress
+.PHONY: check build vet test race audit bench-json bench-smoke bench-compare bench-ab fuzz-smoke daemon-smoke shard-smoke trace-smoke ci stress
 
 # check is the CI gate: static analysis plus the full suite under the race
 # detector (the parallel sweep runner is on by default).
@@ -40,16 +40,6 @@ audit:
 # B/op for the obs-disabled and obs-enabled core loop.
 bench-json:
 	$(GO) run ./cmd/lbpbench -out BENCH_baseline.json
-
-# bench-pr5 snapshots the current tree's numbers as the PR-5 point of the
-# performance trajectory (compare against BENCH_baseline.json).
-bench-pr5:
-	$(GO) run ./cmd/lbpbench -out BENCH_pr5.json
-
-# bench-pr10 snapshots the current tree's numbers as the PR-10 point of the
-# performance trajectory (compare against BENCH_pr5.json).
-bench-pr10:
-	$(GO) run ./cmd/lbpbench -out BENCH_pr10.json
 
 # bench-smoke is the fast benchmark-path sanity gate (< 10 s): one in-memory
 # core-loop run and one LBP2 file-backed core-loop-stream run of the same

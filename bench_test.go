@@ -99,14 +99,14 @@ func BenchmarkTAGEPredict(b *testing.B) {
 func benchCoreLoop(b *testing.B, opts ...Option) {
 	w, _ := workloads.ByName("cloud-compression")
 	tr := w.Generate(120_000)
-	ref, err := SimulateTrace(tr, ForwardWalk(), opts...)
+	ref, err := FromSource(trace.NewSliceSource(tr), ForwardWalk(), opts...)
 	if err != nil {
 		b.Fatal(err)
 	}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := SimulateTrace(tr, ForwardWalk(), opts...); err != nil {
+		if _, err := FromSource(trace.NewSliceSource(tr), ForwardWalk(), opts...); err != nil {
 			b.Fatal(err)
 		}
 	}

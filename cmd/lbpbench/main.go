@@ -104,7 +104,7 @@ func main() {
 
 	// One reference run pins the cycle count the ns/cycle metric divides by
 	// (the simulator is deterministic, so every op retires the same cycles).
-	ref, err := localbp.SimulateTrace(tr, scheme)
+	ref, err := localbp.FromSource(trace.NewSliceSource(tr), scheme)
 	if err != nil {
 		fatal(err)
 	}
@@ -113,7 +113,7 @@ func main() {
 		r := testing.Benchmark(func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				if _, err := localbp.SimulateTrace(tr, scheme, opts...); err != nil {
+				if _, err := localbp.FromSource(trace.NewSliceSource(tr), scheme, opts...); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -256,12 +256,12 @@ const smokeAllocBudget = 4096
 // within the allocation budget. No baseline file is written — this gates
 // "the benchmark paths still work", not performance.
 func smokeRun(tr []trace.Inst, scheme localbp.Scheme) error {
-	ref, err := localbp.SimulateTrace(tr, scheme)
+	ref, err := localbp.FromSource(trace.NewSliceSource(tr), scheme)
 	if err != nil {
 		return fmt.Errorf("smoke core-loop: %w", err)
 	}
 	allocs := testing.AllocsPerRun(1, func() {
-		if _, err := localbp.SimulateTrace(tr, scheme); err != nil {
+		if _, err := localbp.FromSource(trace.NewSliceSource(tr), scheme); err != nil {
 			panic(err)
 		}
 	})

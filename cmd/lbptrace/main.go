@@ -13,8 +13,8 @@
 //	lbptrace -convert in.lbp -out F           # re-encode a trace file
 //
 // -insts, -workload, -scheme and -seed spell the same across lbpsim,
-// lbpsweep, lbpbench and lbptrace; the old -o/-i spellings still work with
-// a deprecation note, and `-workload NAME -out F` still saves without -gen.
+// lbpsweep, lbpbench and lbptrace, and `-workload NAME -out F` still saves
+// without -gen.
 //
 // -stat and -convert stream: the input is decoded chunk-at-a-time, so
 // arbitrarily long traces are handled at fixed memory (LBP2 output; LBP1
@@ -29,7 +29,6 @@ import (
 	"io"
 	"os"
 
-	"localbp/internal/cliflags"
 	"localbp/internal/schemes"
 	"localbp/internal/service"
 	"localbp/internal/trace"
@@ -48,9 +47,6 @@ func main() {
 	out := flag.String("out", "", "write the binary trace to this file")
 	stat := flag.String("stat", "", "summarize a saved trace file (lbp1, lbp2 or champsim)")
 	convert := flag.String("convert", "", "re-encode this trace file to -out in -format")
-	cliflags.Alias(flag.CommandLine, "out", "o")
-	cliflags.Alias(flag.CommandLine, "stat", "in")
-	cliflags.Alias(flag.CommandLine, "stat", "i")
 	flag.Parse()
 
 	switch {

@@ -60,7 +60,7 @@ func main() {
 	fmt.Println("trace:", trace.Summarize(tr))
 
 	run := func(s localbp.Scheme) localbp.Result {
-		r, err := localbp.SimulateTrace(tr, s)
+		r, err := localbp.FromSource(trace.NewSliceSource(tr), s)
 		if err != nil {
 			log.Fatal(err)
 		}

@@ -11,6 +11,7 @@ import (
 	"log"
 
 	"localbp"
+	"localbp/internal/trace"
 )
 
 func main() {
@@ -25,7 +26,7 @@ func main() {
 	tr := w.Generate(*insts)
 
 	run := func(s localbp.Scheme) localbp.Result {
-		r, err := localbp.SimulateTrace(tr, s)
+		r, err := localbp.FromSource(trace.NewSliceSource(tr), s)
 		if err != nil {
 			log.Fatal(err)
 		}

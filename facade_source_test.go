@@ -28,9 +28,9 @@ func writeLBP2File(t *testing.T, dir, name string, tr []trace.Inst) string {
 	return path
 }
 
-// TestFromSourceMatchesSimulate pins the redesigned entry points against each
-// other: generation, an in-memory source, the deprecated slice shim, and a
-// file replay must all produce identical results.
+// TestFromSourceMatchesSimulate pins the entry points against each other:
+// generation, an in-memory source and a file replay must all produce
+// identical results.
 func TestFromSourceMatchesSimulate(t *testing.T) {
 	w := QuickWorkloads()[0]
 	const insts = 40_000
@@ -46,14 +46,6 @@ func TestFromSourceMatchesSimulate(t *testing.T) {
 	}
 	if !reflect.DeepEqual(want, fromSrc) {
 		t.Fatalf("FromSource diverges from Simulate\n  src: %+v\n  sim: %+v", fromSrc, want)
-	}
-
-	shim, err := SimulateTrace(tr, ForwardWalk())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(want, shim) {
-		t.Fatalf("SimulateTrace shim diverges\n  shim: %+v\n  sim:  %+v", shim, want)
 	}
 
 	path := writeLBP2File(t, t.TempDir(), "w.lbp2", tr)
@@ -79,23 +71,6 @@ func TestFromSourceMatchesSimulate(t *testing.T) {
 	}
 }
 
-// TestMustSimulateTraceShim keeps the deprecated panic-on-error entry point
-// working.
-func TestMustSimulateTraceShim(t *testing.T) {
-	w := QuickWorkloads()[1]
-	tr := w.Generate(8000)
-	res := MustSimulateTrace(tr, BaselineTAGE())
-	if res.Insts == 0 || res.Scheme != "tage" {
-		t.Fatalf("shim result: %+v", res)
-	}
-	defer func() {
-		if recover() == nil {
-			t.Fatal("MustSimulateTrace should panic on error")
-		}
-	}()
-	MustSimulateTrace(tr, nil)
-}
-
 // TestFromSourceOptionValidation pins the error paths of the new surface.
 func TestFromSourceOptionValidation(t *testing.T) {
 	if _, err := FromSource(nil, BaselineTAGE()); err == nil {
@@ -114,6 +89,14 @@ func TestFromSourceOptionValidation(t *testing.T) {
 	defer CloseTrace(src)
 	if _, err := FromSource(src, BaselineTAGE(), WithGolden()); err == nil {
 		t.Fatal("WithGolden on a streaming source accepted")
+	}
+	// WithSeed and WithTraceFile select Simulate's stream; a prepared
+	// source must reject them rather than silently ignore them.
+	if _, err := FromSource(trace.NewSliceSource(tr), BaselineTAGE(), WithSeed(7)); err == nil {
+		t.Fatal("WithSeed on a prepared source accepted")
+	}
+	if _, err := FromSource(trace.NewSliceSource(tr), BaselineTAGE(), WithTraceFile(path)); err == nil {
+		t.Fatal("WithTraceFile on a prepared source accepted")
 	}
 	// WithGolden on an in-memory source still works.
 	if _, err := FromSource(trace.NewSliceSource(tr), BaselineTAGE(), WithGolden()); err != nil {

@@ -71,12 +71,6 @@ type Config struct {
 	// StallError and a pipeline dump. 0 selects DefaultStallCycles.
 	StallCycles int64
 
-	// DisableBlockMemo turns off the hot basic-block timeline memo
-	// (blockmemo.go). Like the fast-forward, the memo is exact — a memoized
-	// run is bit-identical to a live one — so this gate exists for
-	// differential testing and for measuring the memo's own cost.
-	DisableBlockMemo bool
-
 	// DisableFastForward forces the cycle loop to iterate every cycle
 	// instead of jumping over provably idle windows (see fastforward.go).
 	// The skip is exact — results are bit-identical either way — so this

@@ -273,16 +273,6 @@ type Core struct {
 	dbgDoneSum                          int64
 	dbgDoneN                            int64
 
-	// Basic-block memoization (blockmemo.go). bmemo nil disables the path;
-	// bmemoEpoch orphans all entries on control-flow repair; bmemoStorm, when
-	// nonzero, seeds the invalidation-storm test hook. The counters are
-	// diagnostics, deliberately outside Stats.
-	bmemo      []bmemoEntry
-	bmemoEpoch uint32
-	bmemoStorm uint64
-
-	dbgMemoHits, dbgMemoMisses, dbgMemoStores, dbgMemoInvals int64
-
 	// Observability (all nil/zero when disabled; the per-cycle nil checks
 	// are the entire disabled-path cost).
 	cpi    *obs.CPIStack
@@ -338,10 +328,6 @@ func New(cfg Config, unit *bpu.Unit, prog []trace.Inst) *Core {
 	unit.Prealloc(cfg.AllocQueue + cfg.ROBSize + 64)
 	if cfg.BTB.Entries > 0 {
 		c.btb = btb.New(cfg.BTB)
-	}
-	if !cfg.DisableBlockMemo && cfg.ALUs <= bmemoMaxALUs {
-		c.bmemo = make([]bmemoEntry, bmemoSlots)
-		c.bmemoEpoch = 1
 	}
 	if h := cfg.Obs; h != nil {
 		c.cpi = h.CPI
@@ -758,7 +744,6 @@ func (c *Core) handleMispredict(robIdx int64, e *robEntry) {
 	}
 	c.flushROBAfter(robIdx)
 	c.fqFlush()
-	c.bmemoInvalidate()
 	c.diverged = false
 	c.pos = e.streamPos + 1
 	hold := c.cycle + c.cfg.ResteerPenalty
@@ -852,12 +837,6 @@ func (c *Core) stepAlloc() {
 			c.dbgNotReady++
 			return
 		}
-		if c.bmemo != nil {
-			if k := c.blockMemoAlloc(c.cfg.Width - n); k > 0 {
-				n += k - 1
-				continue
-			}
-		}
 		s, rec := c.fqPop()
 		abs := c.robTail
 		e := c.robAt(abs)
@@ -909,7 +888,6 @@ func (c *Core) handleEarlyResteer(e *robEntry, rec *bpu.BranchRec) {
 		c.tracer.Emit(obs.EvEarlyResteer, c.cycle, rec.Ctx.PC, int64(rec.Ctx.Seq))
 	}
 	c.fqFlush()
-	c.bmemoInvalidate()
 	hold := c.cycle + c.cfg.EarlyResteerPenalty
 	if hold > c.fetchHoldTo {
 		c.fetchHoldTo = hold
@@ -1036,7 +1014,6 @@ func (c *Core) stepFetch() {
 				// Divergence: subsequent fetch is wrong-path until
 				// this branch resolves (or a deferred override
 				// corrects it at the allocation stage).
-				c.bmemoInvalidate()
 				c.diverged = true
 				c.wrongLeft = c.cfg.MaxWrongPathPerFlush
 				c.wpCursor = 0

@@ -12,55 +12,94 @@ import (
 	"localbp/internal/workloads"
 )
 
-// TestFastForwardDifferential pins the fast-forward's exactness contract:
-// for every workload × scheme pairing, a fast-forwarded run must be
-// bit-identical — every Stats field, the debug stall counters, and the full
-// CPI stack — to the cycle-by-cycle run.
-func TestFastForwardDifferential(t *testing.T) {
-	schemes := []struct {
-		name string
-		mk   func() repair.Scheme
-	}{
-		{"baseline", func() repair.Scheme { return nil }},
-		{"no-repair", func() repair.Scheme { return repair.NewNone(loop.Loop128()) }},
-		{"forward-coalesce", func() repair.Scheme {
-			return repair.NewForwardWalk(loop.Loop128(), 32, repair.Ports{CkptRead: 4, BHTWrite: 2}, true)
-		}},
-		{"perfect", func() repair.Scheme { return repair.NewPerfect(loop.Loop128()) }},
-	}
-	ws := workloads.QuickSuite()
-	if len(ws) > 6 {
-		ws = ws[:6]
-	}
-	const insts = 12_000
-	for _, w := range ws {
-		tr := w.Generate(insts)
-		for _, sc := range schemes {
-			runOne := func(disableFF bool) (Stats, [3]int64, [obs.NumCPIBuckets]int64) {
-				cfg := DefaultConfig()
-				cfg.DisableFastForward = disableFF
-				cpi := obs.NewCPIStack()
-				cfg.Obs = &obs.Hooks{CPI: cpi}
-				c := New(cfg, bpu.NewUnit(tage.KB8(), sc.mk()), tr)
-				st := c.Run()
-				fq, rf, nr, _ := c.DebugAllocStalls()
-				var stacks [obs.NumCPIBuckets]int64
-				cpi.Buckets(func(b obs.CPIBucket, n int64) { stacks[b] = n })
-				return st, [3]int64{fq, rf, nr}, stacks
-			}
-			ffSt, ffDbg, ffCPI := runOne(false)
-			plainSt, plainDbg, plainCPI := runOne(true)
-			if ffSt != plainSt {
-				t.Errorf("%s/%s: stats diverge\n  ff:    %+v\n  plain: %+v", w.Name, sc.name, ffSt, plainSt)
-			}
-			if ffDbg != plainDbg {
-				t.Errorf("%s/%s: dbg stall counters diverge: ff=%v plain=%v", w.Name, sc.name, ffDbg, plainDbg)
-			}
-			if ffCPI != plainCPI {
-				t.Errorf("%s/%s: CPI stacks diverge\n  ff:    %v\n  plain: %v", w.Name, sc.name, ffCPI, plainCPI)
-			}
+type ffScheme struct {
+	name string
+	mk   func() repair.Scheme
+}
+
+var ffForward = ffScheme{"forward-coalesce", func() repair.Scheme {
+	return repair.NewForwardWalk(loop.Loop128(), 32, repair.Ports{CkptRead: 4, BHTWrite: 2}, true)
+}}
+
+var ffFourSchemes = []ffScheme{
+	{"baseline", func() repair.Scheme { return nil }},
+	{"no-repair", func() repair.Scheme { return repair.NewNone(loop.Loop128()) }},
+	ffForward,
+	{"perfect", func() repair.Scheme { return repair.NewPerfect(loop.Loop128()) }},
+}
+
+// ffCheck runs tr under each scheme twice, fast-forwarded (with retire
+// bursts) and cycle by cycle, and requires every Stats field, the debug
+// stall counters and the full CPI stack to be bit-identical.
+func ffCheck(t *testing.T, name string, tr []trace.Inst, schemes []ffScheme) {
+	t.Helper()
+	for _, sc := range schemes {
+		runOne := func(disableFF bool) (Stats, [3]int64, [obs.NumCPIBuckets]int64) {
+			cfg := DefaultConfig()
+			cfg.DisableFastForward = disableFF
+			cpi := obs.NewCPIStack()
+			cfg.Obs = &obs.Hooks{CPI: cpi}
+			c := New(cfg, bpu.NewUnit(tage.KB8(), sc.mk()), tr)
+			st := c.Run()
+			fq, rf, nr, _ := c.DebugAllocStalls()
+			var stacks [obs.NumCPIBuckets]int64
+			cpi.Buckets(func(b obs.CPIBucket, n int64) { stacks[b] = n })
+			return st, [3]int64{fq, rf, nr}, stacks
+		}
+		ffSt, ffDbg, ffCPI := runOne(false)
+		plainSt, plainDbg, plainCPI := runOne(true)
+		if ffSt != plainSt {
+			t.Errorf("%s/%s: stats diverge\n  ff:    %+v\n  plain: %+v", name, sc.name, ffSt, plainSt)
+		}
+		if ffDbg != plainDbg {
+			t.Errorf("%s/%s: dbg stall counters diverge: ff=%v plain=%v", name, sc.name, ffDbg, plainDbg)
+		}
+		if ffCPI != plainCPI {
+			t.Errorf("%s/%s: CPI stacks diverge\n  ff:    %v\n  plain: %v", name, sc.name, ffCPI, plainCPI)
 		}
 	}
+}
+
+// TestFastForwardDifferential pins the event-driven stepping's exactness
+// contract on the first six quick-suite workloads and a stable-content loop,
+// each under four schemes.
+func TestFastForwardDifferential(t *testing.T) {
+	for _, w := range workloads.QuickSuite()[:6] {
+		ffCheck(t, w.Name, w.Generate(12_000), ffFourSchemes)
+	}
+	ffCheck(t, "loop", loopTrace(2_000), ffFourSchemes)
+}
+
+// TestFastForwardSuiteDifferential sweeps the full quick suite and every
+// StressSuite rung under forward-coalesce: the fast-forwarded run must be
+// bit-identical to the cycle-by-cycle run on each.
+func TestFastForwardSuiteDifferential(t *testing.T) {
+	for _, w := range append(workloads.QuickSuite(), workloads.StressSuite()...) {
+		ffCheck(t, w.Name, w.Generate(8_000), []ffScheme{ffForward})
+	}
+}
+
+// loopTrace builds a trace with stable per-PC content: `iters` iterations of
+// a fixed body ending in a taken back-branch. Unlike the synthetic workload
+// generator (which draws operands per instance), every iteration carries
+// byte-identical instructions, so the core settles into a periodic steady
+// state. The two L1-resident loads keep ALU demand below bank capacity.
+func loopTrace(iters int) []trace.Inst {
+	body := []trace.Inst{
+		{PC: 0x1000, Class: trace.ClassALU, Dst: 3, Src1: 1, Src2: 2},
+		{PC: 0x1004, Class: trace.ClassALU, Dst: 4, Src1: 3, Src2: 1},
+		{PC: 0x1008, Class: trace.ClassLoad, Addr: 0x8000, Dst: 5, Src1: 2},
+		{PC: 0x100c, Class: trace.ClassALU, Dst: 6, Src1: 1, Src2: 2},
+		{PC: 0x1010, Class: trace.ClassLoad, Addr: 0x8040, Dst: 7, Src1: 1},
+		{PC: 0x1014, Class: trace.ClassALU, Dst: 8, Src1: 6, Src2: 3},
+		{PC: 0x1018, Class: trace.ClassBranch, Taken: true, Target: 0x1000, Src1: 8},
+	}
+	tr := make([]trace.Inst, 0, len(body)*iters)
+	for i := 0; i < iters; i++ {
+		tr = append(tr, body...)
+	}
+	tr[len(tr)-1].Taken = false // fall through at the end
+	return tr
 }
 
 // TestFastForwardWatchdogIdentical checks that a deadman trip under

@@ -172,11 +172,6 @@ func SchemeByName(name string, opts ...SchemeOpt) (Scheme, error) {
 // SchemeNames returns every canonical scheme name, sorted.
 func SchemeNames() []string { return schemes.Names() }
 
-// SchemeOption is the deprecated name of Scheme.
-//
-// Deprecated: use Scheme.
-type SchemeOption = Scheme
-
 // Observability re-exports: callers interpret CPI stacks and trace events
 // through these aliases without importing internal packages.
 type (
@@ -245,7 +240,6 @@ type simConfig struct {
 	progress  func(uint64)
 	maxCycles int64
 	traceFile string
-	noMemo    bool
 }
 
 // WithContext runs the simulation under ctx: cancellation or a deadline
@@ -268,8 +262,8 @@ func WithAudit() Option { return func(c *simConfig) { c.auditOn = true } }
 // golden model of the same trace.
 func WithGolden() Option { return func(c *simConfig) { c.golden = true } }
 
-// WithSeed overrides the workload's trace-generation seed (Simulate only;
-// SimulateTrace takes a prepared stream).
+// WithSeed overrides the workload's trace-generation seed. It applies to
+// Simulate of a generated workload only; FromSource rejects it.
 func WithSeed(s int64) Option {
 	return func(c *simConfig) { c.seed, c.seedSet = s, true }
 }
@@ -316,18 +310,13 @@ func WithProgress(fn func(retired uint64)) Option {
 	return func(c *simConfig) { c.progress = fn }
 }
 
-// WithoutBlockMemo disables the hot basic-block timeline memo (DESIGN.md
-// §17). The memo is exact — a memoized run is bit-identical to a live one —
-// so this knob exists for differential testing and for measuring the memo's
-// own overhead, not for changing results.
-func WithoutBlockMemo() Option { return func(c *simConfig) { c.noMemo = true } }
-
 // WithTraceFile replays an on-disk trace (LBP1/LBP2/ChampSim) instead of
 // generating the workload's stream: Simulate streams the file at fixed
 // memory, capped at n instructions when n > 0 (n <= 0 replays the whole
 // file). The workload's name is kept for labeling; its seed and profile are
 // unused. WithSeed and WithGolden do not compose with a streamed file (the
-// golden oracle needs the whole trace resident).
+// golden oracle needs the whole trace resident). FromSource rejects it: pass
+// the file as the source instead (OpenTrace).
 func WithTraceFile(path string) Option {
 	return func(c *simConfig) { c.traceFile = path }
 }
@@ -404,7 +393,8 @@ func Simulate(w WorkloadInfo, n int, s Scheme, opts ...Option) (Result, error) {
 // takes the resident-program path bit-identically; a file or mmap source
 // (OpenTrace) replays at fixed memory. The caller retains ownership of src —
 // sources are stateful and single-consumer, so open a fresh one per run and
-// release file-backed sources with CloseTrace.
+// release file-backed sources with CloseTrace. WithSeed and WithTraceFile
+// select Simulate's stream, so FromSource rejects both.
 func FromSource(src Source, s Scheme, opts ...Option) (Result, error) {
 	if src == nil {
 		return Result{}, errors.New("localbp: nil source")
@@ -415,16 +405,13 @@ func FromSource(src Source, s Scheme, opts ...Option) (Result, error) {
 			o(&sc)
 		}
 	}
+	if sc.seedSet {
+		return Result{}, errors.New("localbp: WithSeed does not apply to a prepared source")
+	}
+	if sc.traceFile != "" {
+		return Result{}, errors.New("localbp: WithTraceFile does not apply to a prepared source; open the file with OpenTrace")
+	}
 	return simulate(src, s, sc)
-}
-
-// SimulateTrace runs a prepared in-memory instruction stream.
-//
-// Deprecated: use FromSource with trace.NewSliceSource(tr) — or OpenTrace for
-// an on-disk trace. SimulateTrace remains as a thin shim and is bit-identical
-// to the FromSource path.
-func SimulateTrace(tr []trace.Inst, s Scheme, opts ...Option) (Result, error) {
-	return FromSource(trace.NewSliceSource(tr), s, opts...)
 }
 
 func simulate(src Source, s Scheme, sc simConfig) (Result, error) {
@@ -441,7 +428,6 @@ func simulate(src Source, s Scheme, sc simConfig) (Result, error) {
 	ccfg.WarmupInsts = sc.warmup
 	ccfg.MaxCycles = sc.maxCycles
 	ccfg.Progress = sc.progress
-	ccfg.DisableBlockMemo = sc.noMemo
 
 	// Observability hooks: built fresh per run, so concurrent Simulate
 	// calls never share registries or tracers.
@@ -527,26 +513,4 @@ func simulate(src Source, s Scheme, sc simConfig) (Result, error) {
 	// the hierarchy's metadata arrays can go back to the pool.
 	c.Recycle()
 	return res, nil
-}
-
-// MustSimulate is Simulate for quick scripts: it panics on error.
-//
-// Deprecated: use Simulate and handle the error.
-func MustSimulate(w WorkloadInfo, n int, s Scheme, opts ...Option) Result {
-	res, err := Simulate(w, n, s, opts...)
-	if err != nil {
-		panic(err)
-	}
-	return res
-}
-
-// MustSimulateTrace is SimulateTrace for quick scripts: it panics on error.
-//
-// Deprecated: use SimulateTrace and handle the error.
-func MustSimulateTrace(tr []trace.Inst, s Scheme, opts ...Option) Result {
-	res, err := SimulateTrace(tr, s, opts...)
-	if err != nil {
-		panic(err)
-	}
-	return res
 }

@@ -26,7 +26,7 @@ func TestObsAllocGuard(t *testing.T) {
 	obsOpts := []Option{WithCPIStack(), WithCounters(), WithEventTrace(512)}
 	allocs := func(tr []trace.Inst, opts ...Option) float64 {
 		return testing.AllocsPerRun(1, func() {
-			if _, err := SimulateTrace(tr, ForwardWalk(), opts...); err != nil {
+			if _, err := FromSource(trace.NewSliceSource(tr), ForwardWalk(), opts...); err != nil {
 				t.Fatal(err)
 			}
 		})
