@@ -9,12 +9,17 @@ check: vet race
 build:
 	$(GO) build ./...
 
-# vet also runs the allocation guards: the obs layer's cost must be a fixed
-# setup delta, and the core loop's allocations must be per-run setup only —
-# never per-cycle, per-branch or per-event work. staticcheck and govulncheck
-# run when installed (the build must not require fetching them); install
-# locally for the full gate.
+# vet fails on any Go file gofmt would rewrite (dot directories such as
+# .bench_build/, which holds other checkouts, are skipped as ./... skips
+# them). It also runs the allocation guards: the obs layer's cost must be a
+# fixed setup delta, and the core loop's allocations must be per-run setup
+# only — never per-cycle, per-branch or per-event work. staticcheck and
+# govulncheck run when installed (the build must not require fetching them);
+# install locally for the full gate.
+GOFMT ?= gofmt
 vet:
+	@unformatted=$$(find . -path './.*' -prune -o -name '*.go' -print | xargs $(GOFMT) -l); \
+	if [ -n "$$unformatted" ]; then echo "vet: not gofmt-clean:"; echo "$$unformatted"; exit 1; fi
 	$(GO) vet ./...
 	$(GO) test -run 'TestObsAllocGuard|TestCoreLoopAllocGuard' -count=1 .
 	$(GO) test -race -count=1 ./internal/shard
@@ -74,11 +79,6 @@ fuzz-smoke:
 	$(GO) test -fuzz=FuzzTAGE -fuzztime=10s ./internal/bpu/tage
 	$(GO) test -fuzz='FuzzReadTraceLBP2$$' -fuzztime=10s ./internal/trace
 
-# ci is the one-command pipeline: build, static analysis + alloc guards, the
-# full suite under the race detector, a fuzz smoke, and a quick
-# bench-compare exercise: fresh numbers are measured and run through the
-# regression gate end-to-end (self-compare — cross-machine ns/op gating
-# belongs in `make bench-compare` against a locally pinned baseline).
 # daemon-smoke is the end-to-end lbpd check (< 30 s): build the real binary,
 # submit a job, stream progress over SSE, SIGKILL it mid-run, restart on the
 # same journal, verify exactly-once completion + cache hit + clean drain.
@@ -99,6 +99,11 @@ shard-smoke:
 trace-smoke:
 	$(GO) test -run TestTraceSmoke -count=1 -v ./cmd/lbptrace
 
+# ci is the one-command pipeline: build, static analysis + alloc guards, the
+# full suite under the race detector, a fuzz smoke, and a quick
+# bench-compare exercise: fresh numbers are measured and run through the
+# regression gate end-to-end (self-compare — cross-machine ns/op gating
+# belongs in `make bench-compare` against a locally pinned baseline).
 ci: build vet race bench-smoke daemon-smoke shard-smoke trace-smoke fuzz-smoke
 	$(GO) run ./cmd/lbpbench -insts 60000 -out BENCH_ci.json
 	$(GO) run ./cmd/lbpbench -compare -old BENCH_ci.json -new BENCH_ci.json

@@ -33,18 +33,18 @@ const (
 	InvResolutions      = "resolution-consistency" // pending resolutions match unresolved ROB branches
 	InvCPIAccounting    = "cpi-accounting"         // CPI-stack bucket cycles sum to total cycles
 
-	InvOBQOrder      = "obq-order"       // OBQ Seq strictly increasing head→tail
-	InvOBQBounds     = "obq-bounds"      // OBQ occupancy within capacity
-	InvOBQCoalesce   = "obq-coalesce"    // adjacent live entries never share a PC when coalescing
-	InvOBQRuns       = "obq-runs"        // per-entry coalesced-run counts non-negative
-	InvCkptLiveness  = "ckpt-liveness"   // a branch's checkpoint entry is live and matches at use
-	InvPerfectResync = "perfect-resync"  // after a perfect-repair resync, spec BHT == arch BHT
-	InvSchemeCtx     = "scheme-ctx"      // per-branch repair context self-consistent
+	InvOBQOrder      = "obq-order"      // OBQ Seq strictly increasing head→tail
+	InvOBQBounds     = "obq-bounds"     // OBQ occupancy within capacity
+	InvOBQCoalesce   = "obq-coalesce"   // adjacent live entries never share a PC when coalescing
+	InvOBQRuns       = "obq-runs"       // per-entry coalesced-run counts non-negative
+	InvCkptLiveness  = "ckpt-liveness"  // a branch's checkpoint entry is live and matches at use
+	InvPerfectResync = "perfect-resync" // after a perfect-repair resync, spec BHT == arch BHT
+	InvSchemeCtx     = "scheme-ctx"     // per-branch repair context self-consistent
 
-	InvOracleStream  = "oracle-stream-skew"      // retired stream positions not sequential
-	InvOracleClass   = "oracle-class-mismatch"   // retired class differs from the trace
-	InvOracleBranch  = "oracle-branch-mismatch"  // retired branch PC/outcome differs from the trace
-	InvOracleCounts  = "oracle-final-counts"     // end-of-run totals differ from the functional model
+	InvOracleStream = "oracle-stream-skew"     // retired stream positions not sequential
+	InvOracleClass  = "oracle-class-mismatch"  // retired class differs from the trace
+	InvOracleBranch = "oracle-branch-mismatch" // retired branch PC/outcome differs from the trace
+	InvOracleCounts = "oracle-final-counts"    // end-of-run totals differ from the functional model
 )
 
 // IntegrityError is one invariant violation: where (cycle, PC), what

@@ -5,6 +5,11 @@
 // the branch resolves.
 package btb
 
+import (
+	"errors"
+	"fmt"
+)
+
 // Config sizes a BTB.
 type Config struct {
 	Entries int
@@ -13,6 +18,31 @@ type Config struct {
 
 // DefaultConfig is the Table 2 BTB: 2K entries, 4-way.
 func DefaultConfig() Config { return Config{Entries: 2048, Ways: 4} }
+
+// maxWays bounds associativity: the per-entry LRU rank is a uint8.
+const maxWays = 256
+
+// Validate returns a field-level error for every violated constraint (all
+// violations, joined), or nil. Entries == 0 means no BTB.
+func (c Config) Validate() error {
+	var errs []error
+	bad := func(field string, got any, want string) {
+		errs = append(errs, fmt.Errorf("btb.Config.%s: got %v, want %s", field, got, want))
+	}
+	if c.Entries < 0 {
+		bad("Entries", c.Entries, ">= 0 (0 = no BTB)")
+	}
+	if c.Entries > 0 {
+		if c.Ways < 1 || c.Ways > maxWays {
+			bad("Ways", c.Ways, fmt.Sprintf("in [1, %d]", maxWays))
+		} else if c.Entries%c.Ways != 0 {
+			bad("Entries", c.Entries, fmt.Sprintf("a multiple of Ways (%d)", c.Ways))
+		} else if sets := c.Entries / c.Ways; sets&(sets-1) != 0 {
+			bad("Entries", c.Entries, fmt.Sprintf("Ways (%d) x a power-of-two set count, got %d sets", c.Ways, sets))
+		}
+	}
+	return errors.Join(errs...)
+}
 
 type entry struct {
 	tag    uint32
@@ -32,15 +62,16 @@ type BTB struct {
 	statMisses  uint64
 }
 
-// New builds a BTB from cfg.
+// New builds a BTB from cfg. It panics with the Validate errors on a bad
+// geometry; a zero-entry config (no BTB) has nothing to build.
 func New(cfg Config) *BTB {
-	if cfg.Entries <= 0 || cfg.Ways <= 0 || cfg.Entries%cfg.Ways != 0 {
-		panic("btb: bad geometry")
+	if err := cfg.Validate(); err != nil {
+		panic(err)
+	}
+	if cfg.Entries == 0 {
+		panic("btb.Config.Entries: got 0, want > 0 to build a BTB (0 = no BTB)")
 	}
 	sets := cfg.Entries / cfg.Ways
-	if sets&(sets-1) != 0 {
-		panic("btb: set count must be a power of two")
-	}
 	b := &BTB{cfg: cfg, sets: sets, setMask: uint64(sets - 1), e: make([]entry, cfg.Entries)}
 	for s := 0; s < sets; s++ {
 		for w := 0; w < cfg.Ways; w++ {

@@ -1,6 +1,8 @@
 package btb
 
 import (
+	"fmt"
+	"strings"
 	"testing"
 	"testing/quick"
 )
@@ -102,5 +104,37 @@ func TestBadGeometryPanics(t *testing.T) {
 func TestStorage(t *testing.T) {
 	if kb := float64(New(DefaultConfig()).StorageBits()) / 8192; kb < 8 || kb > 20 {
 		t.Fatalf("2K-entry BTB storage %.1fKB implausible", kb)
+	}
+}
+
+func TestConfigValidate(t *testing.T) {
+	for _, c := range []Config{DefaultConfig(), {}, {Entries: 0, Ways: 0}, {Entries: 8, Ways: 8}, {Entries: 256, Ways: 256}, {Entries: 16, Ways: 1}} {
+		if err := c.Validate(); err != nil {
+			t.Errorf("%+v rejected: %v", c, err)
+		}
+	}
+	for _, tc := range []struct {
+		cfg   Config
+		field string
+	}{
+		{Config{Entries: 3000, Ways: 4}, "Entries"}, // 750 sets
+		{Config{Entries: 2048, Ways: 0}, "Ways"},
+		{Config{Entries: -1, Ways: 4}, "Entries"},
+		{Config{Entries: 1024, Ways: 512}, "Ways"}, // LRU rank is a uint8
+		{Config{Entries: 2048, Ways: 3}, "Entries"},
+	} {
+		err := tc.cfg.Validate()
+		if err == nil || !strings.Contains(err.Error(), "btb.Config."+tc.field) {
+			t.Errorf("%+v: want a btb.Config.%s error, got %v", tc.cfg, tc.field, err)
+			continue
+		}
+		func() {
+			defer func() {
+				if r := recover(); r == nil || fmt.Sprint(r) != err.Error() {
+					t.Errorf("%+v: New panicked with %v, want %v", tc.cfg, r, err)
+				}
+			}()
+			New(tc.cfg)
+		}()
 	}
 }

@@ -215,6 +215,9 @@ func (c Config) Validate() error {
 	if c.StallCycles < 0 {
 		bad("StallCycles", c.StallCycles, ">= 0 (0 = default)")
 	}
+	if err := c.BTB.Validate(); err != nil {
+		errs = append(errs, err)
+	}
 	if err := c.Mem.Validate(); err != nil {
 		errs = append(errs, err)
 	}

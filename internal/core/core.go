@@ -31,24 +31,14 @@ type fetchSlot struct {
 	streamPos int
 }
 
-// resolution is a pending branch-execution event. Pending resolutions live in
-// a calQueue (see calendar.go) and pop in (done, seq) ascending order.
-type resolution struct {
-	done int64
-	seq  uint64
-	rob  int64 // absolute ROB index
-	rec  *bpu.BranchRec
-}
-
-// resource models a bank of units (FUs, load/store buffer slots) as a
-// binary min-heap of next-free cycles; allocation picks the earliest-free
-// unit and returns the earliest start cycle at or after `at`.
+// resource models a bank of functional units or ports as a binary min-heap
+// of next-free cycles; allocation picks the earliest-free unit and returns
+// the earliest start cycle at or after `at`.
 //
-// Units are interchangeable — everything observable (take's start cycle,
-// allBusy, minFree) is a function of the multiset of free cycles, never of
-// which unit carries which cycle — so the heap's internal reordering is
-// bit-identical to a linear min scan while costing O(log n) on the 72-entry
-// load buffer instead of O(n).
+// Units are interchangeable — take's start cycle is a function of the
+// multiset of free cycles, never of which unit carries which cycle — so the
+// heap's internal reordering is bit-identical to a linear min scan while
+// costing O(log n) instead of O(n) on a wide bank.
 type resource struct {
 	free []int64
 }
@@ -103,89 +93,37 @@ func (r *resource) replaceMin(v int64) {
 	f[i] = v
 }
 
-// occBuf models a bank of interchangeable buffer slots (the load and store
-// buffers) whose take start cycle is discarded by its only caller: the sole
-// observables are the earliest next-free cycle (allBusy, lsqBusyUntil) and
-// the slot count (the auditor's occupancy invariant). That collapses the
-// 72-entry heap to a short sorted run-length list of (free-cycle, count)
-// levels — free cycles cluster into two or three runs in practice — so a
-// take is an O(1) head decrement plus a front insert instead of an O(log n)
-// sift. The level list grows by append in the (pathological) worst case, so
-// the representation stays exact for every configuration.
-type occBuf struct {
-	slots  int
-	levels []occLevel // ascending free cycles; counts sum to slots
+// slotRing models a load or store buffer: a bank of interchangeable slots
+// whose only observable is the earliest next-free cycle (allBusy and the
+// fast-forward's LSQ-full clamp). A take re-busies the earliest-free slot
+// until max(free, at)+1. The caller always passes the current cycle, which never
+// decreases, and the minimum never decreases either, so every re-busied
+// value is >= every stored one: slots free up in the order they were taken,
+// and a FIFO ring of free cycles is exact — the oldest slot is the minimum.
+type slotRing struct {
+	free []int64
+	head int
 }
 
-type occLevel struct {
-	free int64
-	n    int32
+func newSlotRing(n int) slotRing { return slotRing{free: make([]int64, n)} }
+
+// take1 reserves the earliest-free slot from cycle `at` for one cycle.
+func (b *slotRing) take1(at int64) {
+	v := b.free[b.head]
+	if at > v {
+		v = at
+	}
+	b.free[b.head] = v + 1
+	if b.head++; b.head == len(b.free) {
+		b.head = 0
+	}
 }
 
-func newOccBuf(n int) *occBuf {
-	b := &occBuf{slots: n, levels: make([]occLevel, 1, 8)}
-	b.levels[0] = occLevel{free: 0, n: int32(n)}
-	return b
-}
-
-// take1 reserves a slot from cycle `at` for one cycle: the earliest-free
-// slot is re-busied until max(free, at)+1, exactly as resource.take(at, 1)
-// would move the heap minimum.
-//
-// Levels at or before `at` are first folded into the head. That is exact:
-// `at` cycles are monotone, so every later query compares against a cycle
-// >= at, where all folded values are equally "free now" — and the head
-// keeps the true multiset minimum, so minFree stays the heap minimum
-// whenever it is observable (> the query cycle). The fold keeps the list at
-// one free run plus a couple of busy levels, so the insert scan is O(1).
-func (b *occBuf) take1(at int64) {
-	ls := b.levels
-	for len(ls) > 1 && ls[0].free <= at && ls[1].free <= at {
-		ls[0].n += ls[1].n
-		copy(ls[1:], ls[2:])
-		ls = ls[:len(ls)-1]
-		b.levels = ls
-	}
-	v := at + 1
-	if m := ls[0].free; m > at {
-		v = m + 1
-	}
-	// Consume one slot from the minimum level...
-	if ls[0].n--; ls[0].n == 0 {
-		copy(ls, ls[1:])
-		ls = ls[:len(ls)-1]
-		b.levels = ls
-	}
-	// ...and re-insert it at v. Every level below v is <= at (the free
-	// run), so the insertion point is the free/busy boundary at the front.
-	i := 0
-	for i < len(ls) && ls[i].free < v {
-		i++
-	}
-	if i < len(ls) && ls[i].free == v {
-		ls[i].n++
-		return
-	}
-	ls = append(ls, occLevel{})
-	copy(ls[i+1:], ls[i:])
-	ls[i] = occLevel{free: v, n: 1}
-	b.levels = ls
-}
-
-// minFree returns the earliest next-free cycle across the bank's slots.
-func (b *occBuf) minFree() int64 { return b.levels[0].free }
+// minFree returns the earliest next-free cycle across the buffer's slots.
+func (b *slotRing) minFree() int64 { return b.free[b.head] }
 
 // allBusy reports whether every slot is reserved past cycle.
-func (b *occBuf) allBusy(cycle int64) bool { return b.levels[0].free > cycle }
-
-// size returns the live slot count (the auditor's occupancy cross-check).
-func (b *occBuf) size() int {
-	n := 0
-	for _, l := range b.levels {
-		n += int(l.n)
-	}
-	return n
-}
+func (b *slotRing) allBusy(cycle int64) bool { return b.free[b.head] > cycle }
 
 // Core is one simulated out-of-order core.
 type Core struct {
@@ -233,12 +171,12 @@ type Core struct {
 	// fqRec runs parallel to fetchQ, for the same reason as robRec.
 	fqRec []*bpu.BranchRec
 
-	resolutions calQueue
+	resolutions resHeap
 
 	regReady [trace.NumRegs]int64
 
 	alus, muls, fps, ldPorts, stPorts *resource
-	ldBuf, stBuf                      *occBuf
+	ldBuf, stBuf                      slotRing
 
 	cycle int64
 	seq   uint64
@@ -312,14 +250,14 @@ func New(cfg Config, unit *bpu.Unit, prog []trace.Inst) *Core {
 		fqRec:       make([]*bpu.BranchRec, nextPow2(cfg.AllocQueue)),
 		fqMask:      nextPow2(cfg.AllocQueue) - 1,
 		fqSize:      cfg.AllocQueue,
-		resolutions: newCalQueue(),
+		resolutions: make(resHeap, 0, cfg.AllocQueue+cfg.ROBSize+64),
 		alus:        newResource(cfg.ALUs),
 		muls:        newResource(cfg.Muls),
 		fps:         newResource(cfg.FPs),
 		ldPorts:     newResource(cfg.LoadPorts),
 		stPorts:     newResource(cfg.StorePorts),
-		ldBuf:       newOccBuf(cfg.LoadBuffer),
-		stBuf:       newOccBuf(cfg.StoreBuffer),
+		ldBuf:       newSlotRing(cfg.LoadBuffer),
+		stBuf:       newSlotRing(cfg.StoreBuffer),
 	}
 	// Pre-size the branch-record pool for the worst-case in-flight branch
 	// population (alloc queue + ROB, plus slack for records awaiting a
@@ -492,27 +430,6 @@ func (c *Core) RunContext(ctx context.Context) (Stats, error) {
 				c.skipIdle(x - c.cycle)
 				continue
 			}
-			if n := c.retireBurst(budget - 1); n > 0 {
-				// The burst already applied every per-cycle effect; only the
-				// live loop's post-iteration bookkeeping remains. It always
-				// retires at least one instruction per consumed cycle, so the
-				// no-retire deadman cannot be pending.
-				if c.integrity != nil {
-					c.stats.Cycles = c.cycle
-					return c.stats, c.integrity
-				}
-				lastInsts = c.stats.Insts
-				lastRetireCycle = c.cycle
-				if c.cycle >= budget {
-					c.stats.Cycles = c.cycle
-					return c.stats, &StallError{
-						Reason: fmt.Sprintf("cycle budget: exceeded %d cycles for %d instructions", budget, c.total),
-						Cycle:  c.cycle,
-						Dump:   c.dumpState(),
-					}
-				}
-				continue
-			}
 		}
 		prevInsts := c.stats.Insts
 		c.stepResolutions()
@@ -625,16 +542,10 @@ func (c *Core) violation(pc uint64, invariant, detail string) {
 func (c *Core) auditScan() {
 	a := c.cfg.Audit
 	n := c.robLen()
-	a.Note(3 + 2*n + c.resolutions.len())
+	a.Note(2 + 2*n + c.resolutions.len())
 	if n < 0 || n > c.robSize || c.fqCount < 0 || c.fqCount > c.fqSize {
 		c.violation(0, audit.InvOccupancy, fmt.Sprintf(
 			"  rob occupancy %d/%d, alloc-queue occupancy %d/%d", n, c.robSize, c.fqCount, c.fqSize))
-		return
-	}
-	if c.ldBuf.size() != c.cfg.LoadBuffer || c.stBuf.size() != c.cfg.StoreBuffer {
-		c.violation(0, audit.InvOccupancy, fmt.Sprintf(
-			"  load buffer %d/%d slots, store buffer %d/%d slots",
-			c.ldBuf.size(), c.cfg.LoadBuffer, c.stBuf.size(), c.cfg.StoreBuffer))
 		return
 	}
 	unresolved := 0
@@ -707,10 +618,16 @@ func (c *Core) noteResteer() {
 
 // stepResolutions processes branch executions due this cycle, oldest first.
 func (c *Core) stepResolutions() {
-	c.resolutions.drain(c.cycle, c.resolveOne)
+	for {
+		r, ok := c.resolutions.popDue(c.cycle)
+		if !ok {
+			return
+		}
+		c.resolveOne(&r)
+	}
 }
 
-// resolveOne handles a single due resolution (the calQueue drain callback).
+// resolveOne handles a single due resolution.
 func (c *Core) resolveOne(r *resolution) {
 	rec := r.rec
 	rec.InFlight = false

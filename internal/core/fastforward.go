@@ -1,7 +1,5 @@
 package core
 
-import "localbp/internal/obs"
-
 // Idle-cycle fast-forward.
 //
 // Long stretches of the simulation are provably idle: the ROB head waits on
@@ -84,12 +82,6 @@ func (c *Core) idleUntil(limit int64) int64 {
 
 	// Resolutions: the earliest pending branch execution.
 	if d, ok := c.resolutions.nextDue(); ok {
-		if c.resolutions.count == 0 {
-			// The next event sits in the calendar overflow: stop one cycle
-			// short so a live drain migrates it into the bucket window
-			// before its due cycle.
-			d--
-		}
 		if d <= cycle {
 			return cycle
 		}
@@ -108,7 +100,8 @@ func (c *Core) idleUntil(limit int64) int64 {
 					x = b
 				}
 			}
-			if m := lsqBusyUntil(c.ldBuf, c.stBuf); m > cycle && m < x {
+			// LSQ-full (either buffer all busy) holds until both free up.
+			if m := max(c.ldBuf.minFree(), c.stBuf.minFree()); m > cycle && m < x {
 				x = m
 			}
 		} else if c.cpiFrontHold > cycle && c.cpiFrontHold < x {
@@ -139,137 +132,4 @@ func (c *Core) skipIdle(n int64) {
 		c.cpi.AddN(c.classifyCycle(false), n)
 	}
 	c.cycle += n
-}
-
-// retireWindow computes the largest W such that for every cycle t in
-// [c.cycle, W] the ONLY pipeline step that can do work is retire:
-//
-//   - fetch is inert: either it has nothing to deliver (program exhausted, or
-//     a divergence with no wrong-path budget) — any W — or it is held, which
-//     bounds W to fetchHoldTo-1;
-//   - alloc is inert: the queue is empty (and stays empty, fetch being inert)
-//     or its head is not ready, bounding W to ready-1;
-//   - no branch resolution comes due: W stays below the calendar's next due
-//     cycle (one extra cycle of slack when that event still sits in the
-//     overflow list, so a live drain migrates it first — same reasoning as
-//     idleUntil);
-//   - the cycle budget still gets its live abort: W <= budgetLimit.
-//
-// A W below c.cycle means no such window exists. Warmup must be settled by
-// the caller (the warmup snapshot is taken at a per-cycle boundary, which a
-// multi-cycle step would displace).
-func (c *Core) retireWindow(budgetLimit int64) int64 {
-	w := budgetLimit
-	if c.diverged {
-		if c.cfg.WrongPath && c.wrongLeft > 0 {
-			if c.fetchHoldTo-1 < w {
-				w = c.fetchHoldTo - 1
-			}
-		}
-	} else if c.pos < c.total {
-		if c.fetchHoldTo-1 < w {
-			w = c.fetchHoldTo - 1
-		}
-	}
-	if c.fqCount > 0 {
-		if r := c.fqPeek().ready - 1; r < w {
-			w = r
-		}
-	}
-	if d, ok := c.resolutions.nextDue(); ok {
-		if c.resolutions.count == 0 {
-			d--
-		}
-		if d-1 < w {
-			w = d - 1
-		}
-	}
-	return w
-}
-
-// retireBurst is the closed-form multi-cycle stepRetire: it retires through
-// cycles [c.cycle, W] while every cycle retires at least one instruction,
-// applying per-cycle bookkeeping (fetch-stall and alloc-stall counters, the
-// CPI stack, golden retire checks) exactly as the live loop would, and
-// advances the clock past the last cycle it processed. It returns the number
-// of cycles consumed (0 means the caller must run a live iteration).
-//
-// Bit-identity: each processed cycle performs precisely what the live
-// iteration at that cycle would have — stepResolutions is a no-op (nothing
-// due before W), stepAlloc touches only its stall counter, stepFetch only the
-// fetch-stall counter, and stepRetire's body is replicated below. Every
-// processed cycle retires, so its CPI bucket is CPIRetired and the no-retire
-// deadman can never trip inside the window.
-func (c *Core) retireBurst(budgetLimit int64) int64 {
-	if !c.warmDone && c.cfg.WarmupInsts > 0 {
-		return 0
-	}
-	if c.robLen() == 0 {
-		return 0
-	}
-	if e := c.robAt(c.robHead); e.wrongPath || e.done > c.cycle || (e.isBranch && !e.resolved) {
-		return 0
-	}
-	w := c.retireWindow(budgetLimit)
-	start := c.cycle
-	for c.cycle <= w {
-		retired := 0
-		for ; retired < c.cfg.Width && c.robLen() > 0; retired++ {
-			e := c.robAt(c.robHead)
-			rec := c.robRec[c.robHead&c.robMask]
-			if e.wrongPath || e.done > c.cycle || (e.isBranch && !e.resolved) {
-				break
-			}
-			if g := c.cfg.Golden; g != nil {
-				var pc uint64
-				var taken bool
-				if e.isBranch && rec != nil {
-					pc, taken = rec.Ctx.PC, rec.Ctx.ActualTaken
-				}
-				if err := g.Retire(e.streamPos, e.class, e.isBranch, pc, taken, c.cycle); err != nil {
-					c.fail(err)
-					return c.cycle - start // abort mid-burst; RunContext sees integrity
-				}
-			}
-			c.lastRetSeq, c.hasRetired = e.seq, true
-			if e.isBranch {
-				c.stats.Branches++
-				if rec != nil {
-					c.unit.Retire(rec)
-					c.robRec[c.robHead&c.robMask] = nil
-				}
-			}
-			c.stats.Insts++
-			c.robHead++
-		}
-		if retired == 0 {
-			break // head not retirable this cycle: hand back to the live loop
-		}
-		// The live iteration's residue for this cycle: fetch-stall while
-		// held, exactly one alloc-stall counter, one CPI bucket.
-		if c.cycle < c.fetchHoldTo {
-			c.stats.FetchStallCycles++
-		}
-		if c.fqCount == 0 {
-			c.dbgFQEmpty++
-		} else {
-			c.dbgNotReady++
-		}
-		if c.cpi != nil {
-			c.cpi.Add(obs.CPIRetired)
-		}
-		c.cycle++
-	}
-	return c.cycle - start
-}
-
-// lsqBusyUntil returns the cycle at which the LSQ-full condition
-// (ld.allBusy || st.allBusy) turns false: the later of the two buffers'
-// earliest-free cycles.
-func lsqBusyUntil(ld, st *occBuf) int64 {
-	a, b := ld.minFree(), st.minFree()
-	if a > b {
-		return a
-	}
-	return b
 }

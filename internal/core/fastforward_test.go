@@ -1,6 +1,8 @@
 package core
 
 import (
+	"math/rand/v2"
+	"slices"
 	"testing"
 
 	"localbp/internal/bpu"
@@ -28,14 +30,16 @@ var ffFourSchemes = []ffScheme{
 	{"perfect", func() repair.Scheme { return repair.NewPerfect(loop.Loop128()) }},
 }
 
-// ffCheck runs tr under each scheme twice, fast-forwarded (with retire
-// bursts) and cycle by cycle, and requires every Stats field, the debug
-// stall counters and the full CPI stack to be bit-identical.
-func ffCheck(t *testing.T, name string, tr []trace.Inst, schemes []ffScheme) {
+// ffCheck runs tr on cfg under each scheme twice, fast-forwarded and cycle
+// by cycle, and requires every Stats field, the debug stall counters and the
+// full CPI stack to be bit-identical. It returns the CPI stacks summed over
+// the schemes.
+func ffCheck(t *testing.T, name string, tr []trace.Inst, cfg Config, schemes []ffScheme) [obs.NumCPIBuckets]int64 {
 	t.Helper()
+	var sum [obs.NumCPIBuckets]int64
 	for _, sc := range schemes {
 		runOne := func(disableFF bool) (Stats, [3]int64, [obs.NumCPIBuckets]int64) {
-			cfg := DefaultConfig()
+			cfg := cfg
 			cfg.DisableFastForward = disableFF
 			cpi := obs.NewCPIStack()
 			cfg.Obs = &obs.Hooks{CPI: cpi}
@@ -57,7 +61,11 @@ func ffCheck(t *testing.T, name string, tr []trace.Inst, schemes []ffScheme) {
 		if ffCPI != plainCPI {
 			t.Errorf("%s/%s: CPI stacks diverge\n  ff:    %v\n  plain: %v", name, sc.name, ffCPI, plainCPI)
 		}
+		for b, n := range plainCPI {
+			sum[b] += n
+		}
 	}
+	return sum
 }
 
 // TestFastForwardDifferential pins the event-driven stepping's exactness
@@ -65,9 +73,9 @@ func ffCheck(t *testing.T, name string, tr []trace.Inst, schemes []ffScheme) {
 // each under four schemes.
 func TestFastForwardDifferential(t *testing.T) {
 	for _, w := range workloads.QuickSuite()[:6] {
-		ffCheck(t, w.Name, w.Generate(12_000), ffFourSchemes)
+		ffCheck(t, w.Name, w.Generate(12_000), DefaultConfig(), ffFourSchemes)
 	}
-	ffCheck(t, "loop", loopTrace(2_000), ffFourSchemes)
+	ffCheck(t, "loop", loopTrace(2_000), DefaultConfig(), ffFourSchemes)
 }
 
 // TestFastForwardSuiteDifferential sweeps the full quick suite and every
@@ -75,8 +83,33 @@ func TestFastForwardDifferential(t *testing.T) {
 // bit-identical to the cycle-by-cycle run on each.
 func TestFastForwardSuiteDifferential(t *testing.T) {
 	for _, w := range append(workloads.QuickSuite(), workloads.StressSuite()...) {
-		ffCheck(t, w.Name, w.Generate(8_000), []ffScheme{ffForward})
+		ffCheck(t, w.Name, w.Generate(8_000), DefaultConfig(), []ffScheme{ffForward})
 	}
+}
+
+// TestFastForwardTinyLSQDifferential covers the fast-forward's LSQ-full
+// clamp in idleUntil. The Table 2 buffers never fill — a slot is busy for
+// one cycle and at most Width memory ops take slots per cycle — so this arm
+// shrinks them to Width or below, where the lsq-full bucket fires.
+func TestFastForwardTinyLSQDifferential(t *testing.T) {
+	cfg := DefaultConfig()
+	cfg.LoadBuffer, cfg.StoreBuffer = 2, 1
+	var lsqFull int64
+	for _, w := range workloads.QuickSuite()[:6] {
+		lsqFull += ffCheck(t, w.Name, w.Generate(10_000), cfg, []ffScheme{ffForward})[obs.CPILSQFull]
+	}
+	if lsqFull == 0 {
+		t.Fatal("lsq-full never fired: the LSQ-full clamp went untested")
+	}
+	// An idle window that spans an LSQ-full flip is rare; a one-entry load
+	// buffer on the aliasing stressor produces one, so dropping the clamp
+	// makes this run diverge.
+	cfg.LoadBuffer = 1
+	w, ok := workloads.ByName("stress-aliasing-0512")
+	if !ok {
+		t.Fatal("stress-aliasing-0512 not in the stress suite")
+	}
+	ffCheck(t, w.Name, w.Generate(10_000), cfg, []ffScheme{ffForward})
 }
 
 // loopTrace builds a trace with stable per-PC content: `iters` iterations of
@@ -139,17 +172,17 @@ func TestFastForwardWatchdogIdentical(t *testing.T) {
 	}
 }
 
-// TestCalQueueOrdering exercises the calendar queue directly: (done, seq)
-// pop order, overflow migration, and nextDue across window advances.
-func TestCalQueueOrdering(t *testing.T) {
-	q := newCalQueue()
+// TestResHeapOrdering exercises the resolution heap directly with near and
+// far events interleaved: (done, seq) pop order, nothing popped before it is
+// due, and nextDue tracking the earliest pending event.
+func TestResHeapOrdering(t *testing.T) {
+	var q resHeap
 	var seq uint64
 	mk := func(done int64) resolution {
 		seq++
 		return resolution{done: done, seq: seq}
 	}
-	// In-window, same-cycle, and far-overflow events interleaved.
-	ins := []int64{5, 3, 5, calWindow + 100, 3, 7, 3*calWindow + 9, calWindow + 50}
+	ins := []int64{5, 3, 5, 2148, 3, 7, 6153, 2098}
 	for _, d := range ins {
 		q.insert(mk(d))
 	}
@@ -160,12 +193,26 @@ func TestCalQueueOrdering(t *testing.T) {
 		t.Fatalf("nextDue = %d,%v, want 3,true", d, ok)
 	}
 	var popped []resolution
-	// Drain cycle by cycle far enough to cross both overflow horizons.
-	for cyc := int64(0); cyc <= 3*calWindow+10; cyc++ {
-		q.drain(cyc, func(r *resolution) { popped = append(popped, *r) })
+	for cyc := int64(0); cyc <= 6200; cyc++ {
+		for {
+			r, ok := q.popDue(cyc)
+			if !ok {
+				break
+			}
+			if r.done != cyc {
+				t.Fatalf("event due at %d popped at cycle %d", r.done, cyc)
+			}
+			popped = append(popped, r)
+		}
+		if d, ok := q.nextDue(); ok && d <= cyc {
+			t.Fatalf("cycle %d: nextDue %d left undrained", cyc, d)
+		}
 	}
 	if q.len() != 0 {
 		t.Fatalf("queue not empty after full drain: %d left", q.len())
+	}
+	if _, ok := q.nextDue(); ok {
+		t.Fatal("nextDue reports an event on an empty queue")
 	}
 	if len(popped) != len(ins) {
 		t.Fatalf("popped %d, want %d", len(popped), len(ins))
@@ -177,31 +224,61 @@ func TestCalQueueOrdering(t *testing.T) {
 				i, a.done, a.seq, b.done, b.seq)
 		}
 	}
+
+	// Many same-cycle ties, inserted as the core does (seq ascending, done
+	// in the future) while earlier events drain: each cycle's events must
+	// pop in seq order.
+	rng := rand.New(rand.NewPCG(3, 4))
+	var last resolution
+	for cyc := int64(0); cyc < 5_000; cyc++ {
+		for {
+			r, ok := q.popDue(cyc)
+			if !ok {
+				break
+			}
+			if r.done != cyc || (last.done == r.done && last.seq > r.seq) {
+				t.Fatalf("cycle %d: popped (%d,%d) after (%d,%d)", cyc, r.done, r.seq, last.done, last.seq)
+			}
+			last = r
+		}
+		for n := rng.IntN(5); n > 0; n-- {
+			q.insert(mk(cyc + 1 + rng.Int64N(8)))
+		}
+	}
 }
 
-// TestCalQueueJumpOntoOverflow reproduces the fast-forward/overflow corner:
-// with only an overflow entry pending, a clock jump straight to its due
-// cycle must still drain it (idleUntil stops one cycle short; the queue
-// itself must migrate correctly when drained at due-1 then due).
-func TestCalQueueJumpOntoOverflow(t *testing.T) {
-	q := newCalQueue()
-	due := 2*calWindow + 7
-	q.insert(resolution{done: due, seq: 1})
-	if d, ok := q.nextDue(); !ok || d != due {
-		t.Fatalf("nextDue = %d,%v, want %d,true", d, ok, due)
-	}
-	// Jump exactly as the fast-forward does: drain at due-1 (migration
-	// cycle), then at due (delivery cycle).
-	var got []int64
-	q.drain(due-1, func(r *resolution) { got = append(got, r.done) })
-	if len(got) != 0 {
-		t.Fatalf("entry delivered early at cycle %d", due-1)
-	}
-	q.drain(due, func(r *resolution) { got = append(got, r.done) })
-	if len(got) != 1 || got[0] != due {
-		t.Fatalf("entry not delivered at its due cycle: got %v", got)
-	}
-	if q.len() != 0 {
-		t.Fatalf("queue should be empty")
+// TestSlotRingMatchesReference checks the load/store buffer ring against a
+// naive multiset of free cycles, where a take re-busies the minimum until
+// max(min, at)+1: with non-decreasing `at` the two agree on minFree after
+// every take.
+func TestSlotRingMatchesReference(t *testing.T) {
+	rng := rand.New(rand.NewPCG(1, 2))
+	for _, n := range []int{1, 2, 3, 56, 72} {
+		ring := newSlotRing(n)
+		ref := make([]int64, n)
+		at := int64(0)
+		for i := 0; i < 20_000; i++ {
+			// Mostly same-cycle or next-cycle takes (bursts that fill the
+			// buffer), with occasional idle gaps.
+			switch k := rng.IntN(10); {
+			case k < 5:
+			case k < 9:
+				at++
+			default:
+				at += rng.Int64N(2 * int64(n))
+			}
+			ring.take1(at)
+			m := 0
+			for j := range ref {
+				if ref[j] < ref[m] {
+					m = j
+				}
+			}
+			ref[m] = max(ref[m], at) + 1
+			want := slices.Min(ref)
+			if got := ring.minFree(); got != want {
+				t.Fatalf("n=%d take %d at=%d: minFree = %d, reference %d", n, i, at, got, want)
+			}
+		}
 	}
 }

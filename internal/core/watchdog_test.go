@@ -109,10 +109,11 @@ func TestConfigValidate(t *testing.T) {
 	cfg.Width = -1
 	cfg.StallCycles = -5
 	cfg.Mem.L2.Ways = 0
+	cfg.BTB.Ways = 0
 	err = cfg.Validate()
-	for _, field := range []string{"Width", "StallCycles", "mem.HierarchyConfig.L2.Ways"} {
+	for _, field := range []string{"Width", "StallCycles", "mem.HierarchyConfig.L2.Ways", "btb.Config.Ways"} {
 		if err == nil || !strings.Contains(err.Error(), field) {
-			t.Fatalf("expected joined Width, StallCycles and L2.Ways errors, got: %v", err)
+			t.Fatalf("expected joined Width, StallCycles, L2.Ways and BTB.Ways errors, got: %v", err)
 		}
 	}
 }

@@ -52,7 +52,7 @@ func TestAccumulatorZeroThreshold(t *testing.T) {
 // once the interval elapses.
 func TestAccumulatorInterval(t *testing.T) {
 	var commits []uint64
-	a := NewAccumulator(1 << 60, time.Millisecond, func(d uint64) { commits = append(commits, d) })
+	a := NewAccumulator(1<<60, time.Millisecond, func(d uint64) { commits = append(commits, d) })
 	a.Add(5)
 	if len(commits) != 0 {
 		t.Fatal("committed before the interval elapsed")

@@ -21,7 +21,10 @@ type CPIBucket uint8
 //  3. memory-bound: the ROB head is an in-flight load or store.
 //  4. repair-busy: the repair scheme holds the BHT/checkpoint ports busy.
 //  5. rob-full: allocation is blocked because the ROB is at capacity.
-//  6. lsq-full: allocation is blocked on load/store-buffer occupancy.
+//  6. lsq-full: every load-buffer or every store-buffer slot is busy. A
+//     slot is busy for one cycle per take (the buffers model port
+//     pressure, not occupancy until retire), so this fires only when a
+//     buffer has Width or fewer entries — never at Table 2's 72/56.
 //  7. alloc-stall: residual — nothing retired and no more specific cause
 //     matched (e.g. a non-memory op still executing at the ROB head, or an
 //     empty ROB with no pending resteer).

@@ -233,8 +233,8 @@ type Daemon struct {
 	mu       sync.Mutex
 	cond     *sync.Cond // signaled when pending grows or draining flips
 	jobs     map[string]*job
-	order    []string       // submission order, for GET /jobs
-	pending  []*job         // FIFO queue; a slice so the shedder can remove
+	order    []string        // submission order, for GET /jobs
+	pending  []*job          // FIFO queue; a slice so the shedder can remove
 	byKey    map[string]*job // single-flight index: cache key → live/done job
 	inflight map[string]int  // client → queued+running count
 	draining bool

@@ -333,10 +333,10 @@ func TestChampSimAdapter(t *testing.T) {
 		binary.LittleEndian.PutUint64(b[32:], srcMem)
 	}
 	raw := make([]byte, 4*champsimRecSize)
-	put(raw[0:], 0x1000, 0, 0, 5, 6, 7, 0, 0)                // ALU
-	put(raw[64:], 0x1004, 1, 1, 0, 0, 0, 0, 0)               // taken branch -> target 0x2000
-	put(raw[128:], 0x2000, 0, 0, 9, 10, 0, 0, 0xdeadbeef)    // load
-	put(raw[192:], 0x2004, 0, 0, 0, 200, 0, 0xcafebabe, 0)   // store; src reg 200 wraps mod 64
+	put(raw[0:], 0x1000, 0, 0, 5, 6, 7, 0, 0)              // ALU
+	put(raw[64:], 0x1004, 1, 1, 0, 0, 0, 0, 0)             // taken branch -> target 0x2000
+	put(raw[128:], 0x2000, 0, 0, 9, 10, 0, 0, 0xdeadbeef)  // load
+	put(raw[192:], 0x2004, 0, 0, 0, 200, 0, 0xcafebabe, 0) // store; src reg 200 wraps mod 64
 	path := filepath.Join(t.TempDir(), "ext.champsim")
 	if err := os.WriteFile(path, raw, 0o644); err != nil {
 		t.Fatal(err)
