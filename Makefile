@@ -78,6 +78,7 @@ fuzz-smoke:
 	$(GO) test -fuzz=FuzzLoopPredictor -fuzztime=10s ./internal/bpu/loop
 	$(GO) test -fuzz=FuzzTAGE -fuzztime=10s ./internal/bpu/tage
 	$(GO) test -fuzz='FuzzReadTraceLBP2$$' -fuzztime=10s ./internal/trace
+	$(GO) test -fuzz=FuzzHierarchy -fuzztime=10s ./internal/mem
 
 # daemon-smoke is the end-to-end lbpd check (< 30 s): build the real binary,
 # submit a job, stream progress over SSE, SIGKILL it mid-run, restart on the

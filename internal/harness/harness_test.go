@@ -2,10 +2,12 @@ package harness
 
 import (
 	"context"
+	"runtime"
 	"strings"
 	"testing"
 
 	"localbp/internal/bpu/loop"
+	"localbp/internal/obs"
 	"localbp/internal/repair"
 	"localbp/internal/workloads"
 )
@@ -33,6 +35,34 @@ func TestRunTraceFullReturnsRepairStats(t *testing.T) {
 	}
 	if _, rst2, err := RunTraceFull(tr, BaselineSpec()); err != nil || rst2 != nil {
 		t.Fatalf("baseline: err=%v repair stats=%v", err, rst2)
+	}
+}
+
+// TestRunRecyclesHierarchy checks that a run hands its memory hierarchy
+// back to the pool: a second run of the same configuration allocates less
+// than the Table 2 LLC's tag array alone (1 MiB), where a fresh hierarchy
+// costs ~1.25 MiB. A run whose counter registry is kept must not recycle:
+// the registry's "mem" source still reads that hierarchy after later runs.
+func TestRunRecyclesHierarchy(t *testing.T) {
+	tr := workloads.QuickSuite()[0].Generate(20_000)
+	RunTrace(tr, BaselineSpec())
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	RunTrace(tr, BaselineSpec())
+	runtime.ReadMemStats(&after)
+	if d := after.TotalAlloc - before.TotalAlloc; d >= 1<<20 {
+		t.Fatalf("second same-config run allocated %d B: the hierarchy was not recycled", d)
+	}
+
+	var reg *obs.Registry
+	kept := BaselineSpec()
+	kept.Obs = &ObsSpec{Counters: true, Done: func(h *obs.Hooks) { reg = h.Reg }}
+	RunTrace(tr, kept)
+	want := reg.Snapshot()["mem.accesses"]
+	RunTrace(workloads.QuickSuite()[1].Generate(20_000), BaselineSpec())
+	if got := reg.Snapshot()["mem.accesses"]; got != want || want == 0 {
+		t.Fatalf("kept registry reads mem.accesses %d after a later run, %d before", got, want)
 	}
 }
 

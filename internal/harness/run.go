@@ -282,10 +282,17 @@ func RunSourceContext(ctx context.Context, src trace.Source, spec Spec) (core.St
 	}
 	st, err := c.RunContext(ctx)
 	if err != nil {
+		c.Recycle()
 		return st, nil, err
 	}
 	if hooks != nil && spec.Obs.Done != nil {
 		spec.Obs.Done(hooks)
+	}
+	// The hierarchy's metadata arrays go back to the pool, unless the
+	// counter registry, which Done may have kept, still pulls the "mem"
+	// source from it.
+	if hooks == nil || hooks.Reg == nil {
+		c.Recycle()
 	}
 	if scheme != nil {
 		return st, scheme.Stats(), nil

@@ -11,6 +11,7 @@ package mem
 
 import (
 	"errors"
+	"math/bits"
 	"sync"
 
 	"localbp/internal/obs"
@@ -61,11 +62,11 @@ func DefaultHierarchy() HierarchyConfig {
 
 // hierFree recycles hierarchies between runs (see Recycle). The metadata
 // arrays of a warm hierarchy dominate a simulation's per-run allocation
-// volume (~2 MB for the Table 2 LLC), and reusing them keeps the arrays
-// resident in the host cache across back-to-back runs — the difference is
-// directly visible in the core-loop benchmark. Deliberately a bounded
-// free-list rather than a sync.Pool: pool contents drop at every GC, which
-// would make a run's allocation count depend on GC timing and turn the
+// volume (~1.3 MB for Table 2, nearly all of it the LLC), and reusing them
+// keeps the arrays resident in the host cache across back-to-back runs — the
+// difference is directly visible in the core-loop benchmark. Deliberately a
+// bounded free-list rather than a sync.Pool: pool contents drop at every GC,
+// which would make a run's allocation count depend on GC timing and turn the
 // fixed-budget alloc-guard tests into coin flips.
 var hierFree struct {
 	mu sync.Mutex
@@ -93,13 +94,19 @@ func New(cfg HierarchyConfig) *Hierarchy {
 		}
 	}
 	hierFree.mu.Unlock()
-	return &Hierarchy{
+	h := &Hierarchy{
 		cfg:         cfg,
 		l1:          newCache(cfg.L1),
 		l2:          newCache(cfg.L2),
 		llc:         newCache(cfg.LLC),
 		dramLatency: cfg.DRAMLatency,
 	}
+	// Skipping a level's repeated stride fills is exact for this geometry
+	// only (see lookup).
+	exact := cfg.L1.LineBytes == cfg.L2.LineBytes && cfg.L2.LineBytes == cfg.LLC.LineBytes &&
+		len(h.l2.hdr) >= 256 && len(h.llc.hdr) >= 256
+	h.l2.dedupe, h.llc.dedupe = exact, exact
+	return h
 }
 
 // Recycle resets the hierarchy and returns it to the free-list for a future
@@ -115,9 +122,8 @@ func (h *Hierarchy) Recycle() {
 }
 
 // reset restores the just-built state without touching the dominant tag
-// arrays: way validity lives in the stamps (stamp == 0 means empty), so
-// clearing them — a third of the metadata — makes the stale tags
-// unreachable.
+// arrays: way validity lives in the set headers, so clearing them makes the
+// stale tags unreachable.
 func (h *Hierarchy) reset() {
 	h.l1.reset()
 	h.l2.reset()
@@ -156,25 +162,34 @@ func (h *Hierarchy) AccessAt(addr uint64, cycle int64) int64 {
 // lookup walks the hierarchy for addr, returning the latency, the level that
 // hit (1=L1, 2=L2, 3=LLC, 4=DRAM) and whether the hit line was brought in by
 // a prefetcher and had not been demand-touched yet.
+//
+// A level's stride prefetch runs right after the level above's on the same
+// miss. When both use the same step, the level above has just filled lines
+// L+step..L+4*step (L the demand line) into this level, and the only inserts
+// into this level since then are the rest of those lines and L itself. With
+// |step| <= 63 the lines L+k*step, 0 <= k <= 4, lie at most 252 lines apart,
+// so with at least 256 sets (and equal line sizes) no two share a set and
+// none can have been evicted: this level's own fills of them would all find
+// them resident and change nothing, and prefetch skips them.
 func (h *Hierarchy) lookup(addr uint64) (lat int64, level int, wasPref bool) {
 	if hit, pref := h.l1.access(addr); hit {
 		return h.l1.cfg.Latency, 1, pref
 	}
 	h.statL1Miss++
 	h.l1.fill(addr)
-	h.l1.prefetch(addr, h)
+	up := h.l1.prefetch(addr, h.l2, 0)
 	if hit, pref := h.l2.access(addr); hit {
 		return h.l1.cfg.Latency + h.l2.cfg.Latency, 2, pref
 	}
 	h.statL2Miss++
 	h.l2.fill(addr)
-	h.l2.prefetch(addr, h)
+	up = h.l2.prefetch(addr, h.llc, up)
 	if hit, pref := h.llc.access(addr); hit {
 		return h.l1.cfg.Latency + h.l2.cfg.Latency + h.llc.cfg.Latency, 3, pref
 	}
 	h.statLLCMiss++
 	h.llc.fill(addr)
-	h.llc.prefetch(addr, h)
+	h.llc.prefetch(addr, nil, up)
 	return h.l1.cfg.Latency + h.l2.cfg.Latency + h.llc.cfg.Latency + h.dramLatency, 4, false
 }
 
@@ -198,20 +213,6 @@ func (h *Hierarchy) AttachObs(reg *obs.Registry, tr *obs.Tracer) {
 // prefetched line.
 func (h *Hierarchy) PrefetchHits() uint64 { return h.statPrefHits }
 
-// fillThrough inserts a prefetched line at the given level and below.
-func (h *Hierarchy) fillThrough(level *cache, addr uint64) {
-	switch level {
-	case h.l1:
-		h.l1.fillPref(addr)
-		h.l2.fillPref(addr)
-	case h.l2:
-		h.l2.fillPref(addr)
-		h.llc.fillPref(addr)
-	case h.llc:
-		h.llc.fillPref(addr)
-	}
-}
-
 // Stats returns (accesses, l1Misses, l2Misses, llcMisses).
 func (h *Hierarchy) Stats() (acc, l1m, l2m, llcm uint64) {
 	return h.statAccesses, h.statL1Miss, h.statL2Miss, h.statLLCMiss
@@ -225,37 +226,21 @@ func (h *Hierarchy) MPKIBase() float64 {
 	return float64(h.statL1Miss) / float64(h.statAccesses)
 }
 
-// The per-way state is split into parallel arrays (tags / stamp); a probe
-// or fill scans one set through subslices of both.
-//
-// LRU is kept as a per-way last-touch timestamp drawn from a per-cache
-// clock instead of a per-set rank permutation: a touch is one store rather
-// than a walk over all ways, and because stamps are unique within a set the
-// recency ORDER — the only thing victim selection reads — is exactly the
-// order the rank permutation encoded. Eviction decisions are bit-identical.
+// Each set has a header (setHdr) and its ways' full tags in tags[set*ways:].
+// A probe matches the tag's fingerprint against all the set's fingerprint
+// bytes at once and compares full tags only for the candidates; a touch
+// moves one nibble of the recency list. Neither walks the ways.
 type cache struct {
 	cfg      Config
-	sets     int
 	setMask  uint64
 	lineBits uint
-	tagShift uint // log2(sets), precomputed: index() runs on every probe
+	tagShift uint // log2(sets), precomputed: set() runs on every probe
+	hdr      []setHdr
 	tags     []uint64
-	// stamp packs (last-touch time << 1 | pref bit) per way; stamp == 0
-	// marks an empty way (a filled way's clock part is always >= 1), so the
-	// zero value of both arrays IS the empty cache and newCache writes no
-	// metadata at all — untouched sets never pull their pages into the host
-	// cache. The clock part is unique within a set, so ordering stamps orders
-	// recency exactly as a bare timestamp would regardless of the low bit.
-	// The pref bit marks a line brought in by a prefetcher that no demand
-	// access has touched yet; the first demand hit clears it (the touch
-	// rewrites the whole word) and counts a prefetch hit.
-	//
-	// Stamps are 32-bit to halve the scan footprint; before the clock could
-	// reach the width limit, renorm compresses every set's stamps to dense
-	// ranks — an observable no-op, since victim selection and pref
-	// classification only read within-set stamp order and the low bit.
-	stamp []uint32
-	clock uint32 // touch counter; always above every live stamp's clock part
+
+	// dedupe: prefetch may skip fills that repeat the level above's (set
+	// by New on L2 and the LLC when the geometry makes that exact).
+	dedupe bool
 
 	// stride prefetcher state: last miss line and stride per cache.
 	lastMiss   uint64
@@ -266,7 +251,7 @@ type cache struct {
 	recentLines [8]uint64
 	recentPos   int
 
-	// inserts counts lines actually written by fillInto. Presence is
+	// inserts counts lines actually written by insert. Presence is
 	// monotone between inserts (nothing else evicts), which is what lets
 	// streamDetect skip provably redundant re-prefetches.
 	inserts uint64
@@ -278,6 +263,24 @@ type cache struct {
 	lastStreamInserts uint64
 }
 
+// setHdr is one set's metadata. Its zero value is the empty set, so
+// newCache writes no metadata and reset only clears the headers: stale tags
+// are unreachable.
+type setHdr struct {
+	order uint64    // way numbers, one per nibble, LRU at nibble 0 to MRU at n-1
+	fp    [2]uint64 // way w's fingerprint in byte w&7 of fp[w>>3]; 0 = empty way
+	pref  uint16    // bit w: a prefetched line no demand access has touched yet
+	n     uint8     // valid ways: ways fill in order and none empties, so 0..n-1
+}
+
+// zeroLanes sets the high bit of each all-zero lane of x and clears every
+// other bit; lo holds every lane's bits below its high bit (0x7f.. for
+// bytes, 0x77.. for nibbles). No borrow crosses lanes, so it is exact.
+func zeroLanes(x, lo uint64) uint64 { return ^((x&lo + lo) | x | lo) }
+
+// fingerprint is a tag's byte in setHdr.fp; the high bit keeps it nonzero.
+func fingerprint(tag uint64) uint64 { return uint64(byte(tag) | 0x80) }
+
 func newCache(cfg Config) *cache {
 	if errs := cfg.validate("mem.Config"); errs != nil {
 		panic(errors.Join(errs...))
@@ -288,62 +291,23 @@ func newCache(cfg Config) *cache {
 	for 1<<lb < cfg.LineBytes {
 		lb++
 	}
-	c := &cache{
+	return &cache{
 		cfg:      cfg,
-		sets:     sets,
 		setMask:  uint64(sets - 1),
 		lineBits: lb,
 		tagShift: log2i(sets),
+		hdr:      make([]setHdr, sets),
 		tags:     make([]uint64, lines),
-		stamp:    make([]uint32, lines),
 		// No real line number reaches 1<<63 (lines are addr>>lineBits), so
 		// the memo can never match before its first genuine assignment.
 		lastStreamLine: uint64(1) << 63,
 	}
-	return c
 }
 
-// renormAt triggers stamp renormalization well before clock<<1 could
-// overflow 32 bits.
-const renormAt = uint32(1) << 30
-
-// renorm compresses every set's stamps to dense ranks (1..ways), preserving
-// within-set recency order and the pref bits exactly. Only that order and the
-// low bit are ever read (victim selection, pref classification), so renorm is
-// observably a no-op; it runs once per ~2^30 touches.
-func (c *cache) renorm() {
-	ways := c.cfg.Ways
-	var ord [maxWays]int
-	for s := 0; s < c.sets; s++ {
-		base := s * ways
-		n := 0
-		for w := 0; w < ways; w++ {
-			if c.stamp[base+w] == 0 {
-				continue
-			}
-			i := n
-			for i > 0 && c.stamp[base+ord[i-1]] > c.stamp[base+w] {
-				ord[i] = ord[i-1]
-				i--
-			}
-			ord[i] = w
-			n++
-		}
-		for r := 0; r < n; r++ {
-			w := ord[r]
-			c.stamp[base+w] = uint32(r+1)<<1 | c.stamp[base+w]&1
-		}
-	}
-	c.clock = uint32(ways) + 1
-}
-
-// reset clears the per-run cache state (see Hierarchy.reset for what may
-// legitimately stay stale).
+// reset clears the per-run cache state (see setHdr for why the tags may
+// stay stale).
 func (c *cache) reset() {
-	for i := range c.stamp {
-		c.stamp[i] = 0
-	}
-	c.clock = 0
+	clear(c.hdr)
 	c.lastMiss = 0
 	c.lastStride = 0
 	c.recentLines = [8]uint64{}
@@ -362,82 +326,98 @@ func log2i(n int) uint {
 	return k
 }
 
-// set returns addr's tag and its set's base index, tags and stamps.
-func (c *cache) set(addr uint64) (tag uint64, base int, tags []uint64, stamp []uint32) {
+// set returns addr's tag, its set's header and the set's tags.
+func (c *cache) set(addr uint64) (tag uint64, s *setHdr, tags []uint64) {
 	line := addr >> c.lineBits
+	i := line & c.setMask
 	ways := c.cfg.Ways
-	base = int(line&c.setMask) * ways
-	return line >> c.tagShift, base, c.tags[base : base+ways], c.stamp[base : base+ways]
+	base := int(i) * ways
+	return line >> c.tagShift, &c.hdr[i], c.tags[base : base+ways]
+}
+
+// find returns the way of s holding tag, or -1.
+func (s *setHdr) find(tags []uint64, tag uint64) int {
+	k := fingerprint(tag) * 0x0101010101010101
+	for i, fp := range s.fp {
+		for m := zeroLanes(fp^k, 0x7f7f7f7f7f7f7f7f); m != 0; m &= m - 1 {
+			w := i<<3 | bits.TrailingZeros64(m)>>3
+			if tags[w] == tag {
+				return w
+			}
+		}
+	}
+	return -1
+}
+
+// touch makes way w the MRU way and clears its pref bit. w's nibble is
+// the lowest one equal to w: the nibbles above n-1 are zero, but they lie
+// above every valid position.
+func (s *setHdr) touch(w int) {
+	x := s.order ^ uint64(w)*0x1111111111111111
+	p := uint(bits.TrailingZeros64(zeroLanes(x, 0x7777777777777777))) &^ 3
+	s.order = s.order&(1<<p-1) | s.order>>(p+4)<<p | uint64(w)<<(4*uint(s.n-1))
+	s.pref &^= 1 << w
 }
 
 // access probes the cache, updating LRU on hit. The second result reports
 // whether the hit line was an untouched prefetch.
 func (c *cache) access(addr uint64) (hit, wasPref bool) {
-	tag, base, tags, stamp := c.set(addr)
-	stamp = stamp[:len(tags)] // equal lengths: drops the per-way bounds check
-	for w, t := range tags {
-		if t == tag && stamp[w] != 0 {
-			wasPref = stamp[w]&1 != 0
-			c.touch(base, w) // rewrites the stamp word, clearing the pref bit
-			return true, wasPref
-		}
+	tag, s, tags := c.set(addr)
+	w := s.find(tags, tag)
+	if w < 0 {
+		return false, false
 	}
-	return false, false
+	wasPref = s.pref>>w&1 != 0
+	s.touch(w)
+	return true, wasPref
 }
 
-func (c *cache) touch(base, way int) {
-	if c.clock >= renormAt {
-		c.renorm()
-	}
-	c.clock++
-	c.stamp[base+way] = c.clock << 1
+// fill inserts addr's line on demand. The caller has just missed on it, so
+// the set needs no probe.
+func (c *cache) fill(addr uint64) {
+	tag, s, tags := c.set(addr)
+	c.insert(s, tags, tag, 0)
 }
 
-// fill inserts addr's line on demand, evicting LRU.
-func (c *cache) fill(addr uint64) { c.fillInto(addr, false) }
-
-// fillPref inserts addr's line on behalf of a prefetcher.
-func (c *cache) fillPref(addr uint64) { c.fillInto(addr, true) }
-
-// fillInto inserts addr's line unless it is present. The victim is the way
-// with the smallest key stamp<<8 | way, a minimum the compiler lowers to a
-// conditional move, so the scan has no data-dependent branch. This is
-// exactly LRU with first-empty-way preference: empty ways (stamp 0) form a
-// suffix of the set, since ways fill in order and nothing empties one, so
-// the first empty way has the smallest key; in a full set the clock parts
-// are unique, so the smallest key is the least recently touched way.
-func (c *cache) fillInto(addr uint64, pref bool) {
-	tag, base, tags, stamp := c.set(addr)
-	stamp = stamp[:len(tags)] // equal lengths: drops the per-way bounds check
-	best := ^uint64(0)
-	for w, t := range tags {
-		st := stamp[w]
-		if t == tag && st != 0 {
-			return
-		}
-		best = min(best, uint64(st)<<8|uint64(w))
+// fillPref inserts addr's line on behalf of a prefetcher unless it is
+// present; a present line keeps its recency and pref bit.
+func (c *cache) fillPref(addr uint64) {
+	tag, s, tags := c.set(addr)
+	if s.find(tags, tag) < 0 {
+		c.insert(s, tags, tag, 1)
 	}
-	victim := base + int(best&0xff)
-	c.tags[victim] = tag
+}
+
+// insert writes tag into the first empty way of s or, in a full set, over
+// the LRU way, and makes it the MRU way; pref is its pref bit.
+func (c *cache) insert(s *setHdr, tags []uint64, tag uint64, pref uint16) {
+	var w int
+	if int(s.n) < len(tags) {
+		w = int(s.n)
+		s.n++
+	} else {
+		w = int(s.order & 0xf)
+		s.order >>= 4
+	}
+	s.order |= uint64(w) << (4 * uint(s.n-1))
+	tags[w] = tag
+	sh := 8 * uint(w&7)
+	s.fp[w>>3] = s.fp[w>>3]&^(0xff<<sh) | fingerprint(tag)<<sh
+	s.pref = s.pref&^(1<<w) | pref<<w
 	c.inserts++
-	// Promote the fresh line to MRU, carrying the pref bit in the low bit.
-	if c.clock >= renormAt {
-		c.renorm()
-	}
-	c.clock++
-	st := c.clock << 1
-	if pref {
-		st |= 1
-	}
-	c.stamp[victim] = st
 }
 
-// prefetch issues stride-directed prefetches after a miss at this level.
+// prefetch issues stride-directed prefetches after a miss at this level and
+// returns the step it used (0 when the prefetcher is off). Each of the four
+// lines goes into this level and into below (nil for the LLC). up is the
+// step the level above has just used; when it equals this level's step and
+// dedupe is set, the level above has just put exactly these lines into this
+// level and they are still resident, so only the fills below are issued.
 // Degree 4 covers the window until the next miss-triggered activation, so a
 // steady stream settles at one demand miss per four lines at most.
-func (c *cache) prefetch(addr uint64, h *Hierarchy) {
+func (c *cache) prefetch(addr uint64, below *cache, up int64) int64 {
 	if !c.cfg.Prefetch {
-		return
+		return 0
 	}
 	const degree = 4
 	line := addr >> c.lineBits
@@ -448,9 +428,17 @@ func (c *cache) prefetch(addr uint64, h *Hierarchy) {
 	}
 	c.lastStride = stride
 	c.lastMiss = line
+	self := !c.dedupe || step != up
 	for d := int64(1); d <= degree; d++ {
-		h.fillThrough(c, uint64(int64(line)+d*step)<<c.lineBits)
+		a := uint64(int64(line)+d*step) << c.lineBits
+		if self {
+			c.fillPref(a)
+		}
+		if below != nil {
+			below.fillPref(a)
+		}
 	}
+	return step
 }
 
 // streamDetect runs on every access: when the previous line was touched

@@ -159,6 +159,7 @@ func TestHierarchyConfigValidate(t *testing.T) {
 	}{
 		{"zero ways", func(h *HierarchyConfig) { h.L1.Ways = 0 }, "mem.HierarchyConfig.L1.Ways: got 0"},
 		{"too many ways", func(h *HierarchyConfig) { h.LLC.Ways = 128 }, "mem.HierarchyConfig.LLC.Ways: got 128"},
+		{"17 ways", func(h *HierarchyConfig) { h.L2.Ways, h.L2.SizeBytes = 17, 17*64*512 }, "mem.HierarchyConfig.L2.Ways: got 17, want in [1, 16]"},
 		{"zero line", func(h *HierarchyConfig) { h.L2.LineBytes = 0 }, "mem.HierarchyConfig.L2.LineBytes: got 0"},
 		{"odd line", func(h *HierarchyConfig) { h.L1.LineBytes = 48 }, "mem.HierarchyConfig.L1.LineBytes: got 48"},
 		{"three sets", func(h *HierarchyConfig) { h.L1.SizeBytes = 3 * 64 * 8 }, "mem.HierarchyConfig.L1.SizeBytes: got 1536"},

@@ -5,9 +5,10 @@ import (
 	"fmt"
 )
 
-// maxWays bounds associativity: renorm sorts a set through a [maxWays]int,
-// and fillInto packs the way number into the low byte of its victim key.
-const maxWays = 64
+// maxWays bounds associativity: a set header keeps one 4-bit way number per
+// way in its 64-bit recency list, one bit per way in its 16-bit pref mask
+// and one byte per way in its 16 fingerprint bytes.
+const maxWays = 16
 
 // Validate checks every level's geometry and the DRAM latency and returns a
 // field-level error for every violated constraint (all violations, joined),
